@@ -1,9 +1,9 @@
 // Ablation 4 -- kernel dispatch vs generic library kernels inside the
 // *same* distributed plan: runs the SAC GBJ multiply once with the
 // compiled fast kernels (the macro-generated-code stand-in) and once with
-// the jvmlike layer (use_jvmlike_kernels). The gap isolates how much of
-// the Figure 4.B MLlib-vs-SAC difference is kernel efficiency rather than
-// plan shape.
+// the jvmlike backend (kernel_backend = "jvmlike"). The gap isolates how
+// much of the Figure 4.B MLlib-vs-SAC difference is kernel efficiency
+// rather than plan shape.
 #include "bench/bench_common.h"
 
 #include "src/api/algorithms.h"
@@ -28,9 +28,9 @@ int main() {
       }));
     }
     {
-      planner::PlannerOptions jvm;
-      jvm.use_jvmlike_kernels = true;
-      Sac ctx(BenchCluster(), jvm);
+      runtime::ClusterConfig jvm = BenchCluster();
+      jvm.kernel_backend = "jvmlike";
+      Sac ctx(jvm);
       auto a = ctx.RandomMatrix(n, n, block, 701).value();
       auto b = ctx.RandomMatrix(n, n, block, 702).value();
       PrintRow(TimeQuery(&ctx, "abl4", "jvmlike", n, n * n, [&] {

@@ -138,14 +138,22 @@ int main(int argc, char** argv) {
                    tcp.row.totals.dist_bytes_received,
            "loopback and tcp wire-byte accounting disagree (same buckets, "
            "same codec: they must be identical)");
-    // Shuffle accounting (local fast path + serialized cross-executor)
-    // is transport-independent: distribution changes where bucket bytes
-    // live, never how many there are.
-    expect(single.row.totals.shuffle_bytes +
-                   single.row.totals.local_shuffle_bytes ==
-               tcp.row.totals.shuffle_bytes +
-                   tcp.row.totals.local_shuffle_bytes,
-           "shuffle-byte accounting changed under distribution");
+    // Shuffle accounting: executor-local bytes (moved as Values) plus
+    // serialized cross-executor bytes is transport-independent --
+    // distribution changes where bucket bytes live, never how many there
+    // are -- and every serialized byte crossed the wire.
+    for (const RunResult* r : {&lo, &tcp}) {
+      const MetricsSnapshot& s = single.row.totals;
+      const MetricsSnapshot& d = r->row.totals;
+      expect(d.local_shuffle_bytes == s.local_shuffle_bytes &&
+                 d.shuffle_bytes == s.shuffle_bytes &&
+                 d.shuffle_records == s.shuffle_records,
+             "shuffle-byte accounting changed under distribution");
+      expect(d.shuffle_bytes == d.cross_executor_bytes,
+             "a serialized shuffle byte stayed on its executor");
+      expect(d.dist_bytes_sent >= d.shuffle_bytes,
+             "serialized shuffle bytes never crossed the transport");
+    }
     expect(lo.row.totals.workers_lost == 0 &&
                tcp.row.totals.workers_lost == 0,
            "a healthy run lost workers");

@@ -206,21 +206,6 @@ class BenchReporter {
   }
 
  private:
-  // Every MetricsSnapshot counter under its canonical field name, so
-  // the report schema tracks the snapshot (and docs/OPERATIONS.md
-  // glossary) automatically.
-  static void AppendCounters(std::string* out, const MetricsSnapshot& c) {
-    bool first = true;
-    c.ForEachCounter([&](const char* name, uint64_t v) {
-      if (!first) *out += ',';
-      first = false;
-      *out += '"';
-      *out += name;
-      *out += "\":";
-      *out += std::to_string(v);
-    });
-  }
-
   void WriteJsonReport() const {
     std::string j = "{\n";
     j += "\"bench\":\"" + trace::JsonEscape(name_) + "\",";
@@ -239,7 +224,7 @@ class BenchReporter {
       std::snprintf(buf, sizeof(buf), "%.3f", r.time_ms);
       j += std::string("\"time_ms\":") + buf + ",";
       j += "\"totals\":{";
-      AppendCounters(&j, r.totals);
+      AppendCounterFields(&j, r.totals, /*stage_row=*/false);
       j += "},\"stages\":[";
       for (size_t s = 0; s < r.stages.size(); ++s) {
         const StageStatsSnapshot& st = r.stages[s];
@@ -247,7 +232,7 @@ class BenchReporter {
         j += "{\"id\":" + std::to_string(st.id) + ",\"label\":\"" +
              trace::JsonEscape(st.label) + "\",\"kind\":\"" +
              trace::JsonEscape(st.kind) + "\",";
-        AppendCounters(&j, st.counters);
+        AppendCounterFields(&j, st.counters, /*stage_row=*/true);
         std::snprintf(buf, sizeof(buf), "%.3f", st.wall_ms);
         j += std::string(",\"wall_ms\":") + buf;
         j += ",\"task_us\":{\"count\":" + std::to_string(st.task_us.count) +

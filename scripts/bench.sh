@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Runs the figure-reproduction benches and the shuffle-path + memory +
-# sampler ablations, writing machine-readable reports at the repo root:
+# Runs the figure-reproduction benches and the memory, sampler,
+# strategy, backend, service and transport ablations, writing
+# machine-readable reports at the repo root:
 #   BENCH_fig4a.json  BENCH_fig4b.json  BENCH_fig4c.json
-#   BENCH_abl_shuffle_path.json  BENCH_abl_memory.json
+#   BENCH_abl_memory.json
 #   BENCH_abl_sampler.json  BENCH_abl_strategy.json
 #   BENCH_abl_backend.json  BENCH_abl_service.json
 #   BENCH_abl_transport.json
@@ -25,7 +26,7 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs" --target \
   bench_fig4a_addition bench_fig4b_multiply bench_fig4c_factorization \
-  bench_abl_shuffle_path bench_abl_memory bench_abl_sampler \
+  bench_abl_memory bench_abl_sampler \
   bench_abl_strategy bench_abl_backend bench_abl_service \
   bench_abl_transport sac_prof
 
@@ -42,9 +43,6 @@ echo "==> fig4b (multiplication)"
 echo "==> fig4c (factorization)"
 ./build/bench/bench_fig4c_factorization --out BENCH_fig4c.json \
   --profile BENCH_fig4c.profile.json
-
-echo "==> ablation: shuffle fast path vs serialize path"
-./build/bench/bench_abl_shuffle_path --out BENCH_abl_shuffle_path.json
 
 echo "==> ablation: unlimited vs 25% memory budget (out-of-core)"
 ./build/bench/bench_abl_memory --out BENCH_abl_memory.json
@@ -75,4 +73,4 @@ echo "==> cost-model gate: predicted vs measured shuffle bytes (2x)"
 echo "==> regression gate: reports vs baselines"
 scripts/bench_diff.sh
 
-echo "==> reports written: BENCH_fig4a.json BENCH_fig4b.json BENCH_fig4c.json BENCH_abl_shuffle_path.json BENCH_abl_memory.json BENCH_abl_sampler.json BENCH_abl_strategy.json BENCH_abl_backend.json BENCH_abl_service.json BENCH_abl_transport.json (+ fig4 *.profile.json)"
+echo "==> reports written: BENCH_fig4a.json BENCH_fig4b.json BENCH_fig4c.json BENCH_abl_memory.json BENCH_abl_sampler.json BENCH_abl_strategy.json BENCH_abl_backend.json BENCH_abl_service.json BENCH_abl_transport.json (+ fig4 *.profile.json)"

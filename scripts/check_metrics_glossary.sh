@@ -6,7 +6,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-counters="$(sed -n 's/^ *X(\([a-z_0-9]*\)).*/\1/p' src/common/metrics.h)"
+# Entries read `X(field, Enumerator, scope)`; the field is the name.
+counters="$(sed -n 's/^ *X(\([a-z_0-9]*\), *k[A-Za-z0-9]*, *k[A-Za-z]*).*/\1/p' \
+  src/common/metrics.h)"
 if [[ -z "$counters" ]]; then
   echo "metrics glossary: failed to extract counters from src/common/metrics.h" >&2
   exit 2

@@ -119,10 +119,10 @@ Result<std::shared_ptr<const CompiledQuery>> Sac::CompileCachedWith(
   const std::string key = plan_cache_.capacity() > 0
                               ? planner::PlanCacheKey(src, binds, options_)
                               : std::string();
+  const MeterSink sink(&engine_->metrics(), nullptr, session_metrics);
   if (!key.empty()) {
     if (std::shared_ptr<const CompiledQuery> hit = plan_cache_.Lookup(key)) {
-      engine_->metrics().AddPlanCacheHit();
-      if (session_metrics != nullptr) session_metrics->AddPlanCacheHit();
+      sink.Add(Counter::kPlanCacheHits, 1);
       return hit;
     }
   }
@@ -144,13 +144,8 @@ Result<std::shared_ptr<const CompiledQuery>> Sac::CompileCachedWith(
   assert(plan_ok.ok() && "compiled plan failed invariant verification");
   SAC_RETURN_NOT_OK(plan_ok);
   if (!key.empty()) {
-    const size_t evicted = plan_cache_.Insert(key, q);
-    engine_->metrics().AddPlanCacheMiss();
-    if (evicted > 0) engine_->metrics().AddPlanCacheEvictions(evicted);
-    if (session_metrics != nullptr) {
-      session_metrics->AddPlanCacheMiss();
-      if (evicted > 0) session_metrics->AddPlanCacheEvictions(evicted);
-    }
+    sink.Add(Counter::kPlanCacheEvictions, plan_cache_.Insert(key, q));
+    sink.Add(Counter::kPlanCacheMisses, 1);
   }
   return std::shared_ptr<const CompiledQuery>(std::move(q));
 }

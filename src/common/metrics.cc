@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/common/logging.h"
+
 namespace sac {
 
 namespace {
@@ -15,11 +17,109 @@ uint32_t ThreadShardSeed() {
       next.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
+
+constexpr const char* kCounterNames[] = {
+#define SAC_METRICS_NAME(field, id, scope) #field,
+    SAC_METRICS_FOR_EACH_COUNTER(SAC_METRICS_NAME)
+#undef SAC_METRICS_NAME
+};
+
+thread_local const MeterSink* tls_current_sink = nullptr;
 }  // namespace
 
-Metrics::Shard& Metrics::Local() {
-  return shards_[ThreadShardSeed() & (kShards - 1)];
+const char* CounterName(Counter c) {
+  return kCounterNames[static_cast<size_t>(c)];
 }
+
+void Metrics::Add(Counter c, uint64_t n) {
+  // Threads may share a shard; the relaxed atomics keep that correct.
+  std::atomic<uint64_t>& a =
+      shards_[ThreadShardSeed() & (kShards - 1)].v[static_cast<size_t>(c)];
+  if (ScopeOf(c) != CounterScope::kGauge) {
+    a.fetch_add(n, std::memory_order_relaxed);
+    return;
+  }
+  uint64_t prev = a.load(std::memory_order_relaxed);
+  while (prev < n &&
+         !a.compare_exchange_weak(prev, n, std::memory_order_relaxed)) {
+  }
+}
+
+void Metrics::Reset() {
+  for (Shard& s : shards_) {
+    for (std::atomic<uint64_t>& a : s.v) a.store(0, std::memory_order_relaxed);
+  }
+}
+
+uint64_t Metrics::Get(Counter c) const {
+  const size_t i = static_cast<size_t>(c);
+  const bool gauge = ScopeOf(c) == CounterScope::kGauge;
+  uint64_t folded = 0;
+  for (const Shard& s : shards_) {
+    const uint64_t v = s.v[i].load(std::memory_order_relaxed);
+    folded = gauge ? std::max(folded, v) : folded + v;
+  }
+  return folded;
+}
+
+MetricsSnapshot Metrics::Snapshot() const {
+  MetricsSnapshot s;
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    const Counter c = static_cast<Counter>(i);
+    s.Ref(c) = Get(c);
+  }
+  return s;
+}
+
+uint64_t MetricsSnapshot::Get(Counter c) const {
+  return const_cast<MetricsSnapshot*>(this)->Ref(c);
+}
+
+uint64_t& MetricsSnapshot::Ref(Counter c) {
+  switch (c) {
+#define SAC_METRICS_CASE(field, id, scope) \
+  case Counter::id:                        \
+    return field;
+    SAC_METRICS_FOR_EACH_COUNTER(SAC_METRICS_CASE)
+#undef SAC_METRICS_CASE
+  }
+  SAC_CHECK(false) << "bad counter " << static_cast<int>(c);
+  return shuffle_bytes;
+}
+
+void MetricsSnapshot::Accumulate(const MetricsSnapshot& other) {
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    const Counter c = static_cast<Counter>(i);
+    uint64_t& mine = Ref(c);
+    mine = ScopeOf(c) == CounterScope::kGauge ? std::max(mine, other.Get(c))
+                                              : mine + other.Get(c);
+  }
+}
+
+void AppendCounterFields(std::string* out, const MetricsSnapshot& c,
+                         bool stage_row) {
+  bool first = true;
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    if (stage_row && kCounterScopes[i] != CounterScope::kStage) continue;
+    if (!first) *out += ',';
+    first = false;
+    *out += '"';
+    *out += CounterName(static_cast<Counter>(i));
+    *out += "\":";
+    *out += std::to_string(c.Get(static_cast<Counter>(i)));
+  }
+}
+
+const MeterSink& MeterSink::Current() {
+  static const MeterSink kDropping;
+  return tls_current_sink != nullptr ? *tls_current_sink : kDropping;
+}
+
+MeterSink::Scope::Scope(const MeterSink& sink) : prev_(tls_current_sink) {
+  tls_current_sink = &sink;
+}
+
+MeterSink::Scope::~Scope() { tls_current_sink = prev_; }
 
 std::string MetricsSnapshot::ToString() const {
   std::ostringstream os;
@@ -71,41 +171,6 @@ std::string MetricsSnapshot::ToString() const {
   return os.str();
 }
 
-MetricsSnapshot Metrics::Snapshot() const {
-  MetricsSnapshot s;
-  s.shuffle_bytes = shuffle_bytes();
-  s.shuffle_records = shuffle_records();
-  s.cross_executor_bytes = cross_executor_bytes();
-  s.local_shuffle_bytes = local_shuffle_bytes();
-  s.tasks_run = tasks_run();
-  s.tasks_recomputed = tasks_recomputed();
-  s.records_processed = records_processed();
-  s.tasks_retried = tasks_retried();
-  s.retry_wait_us = retry_wait_us();
-  s.faults_injected = faults_injected();
-  s.checkpoint_bytes = checkpoint_bytes();
-  s.checkpoint_restore_bytes = checkpoint_restore_bytes();
-  s.evictions = evictions();
-  s.bytes_evicted = bytes_evicted();
-  s.bytes_reloaded = bytes_reloaded();
-  s.reload_recomputes = reload_recomputes();
-  s.peak_resident_bytes = peak_resident_bytes();
-  s.flops_generic = flops_generic();
-  s.flops_packed = flops_packed();
-  s.flops_jvmlike = flops_jvmlike();
-  s.tile_allocs = tile_allocs();
-  s.queries_admitted = queries_admitted();
-  s.queries_queued = queries_queued();
-  s.plan_cache_hits = plan_cache_hits();
-  s.plan_cache_misses = plan_cache_misses();
-  s.plan_cache_evictions = plan_cache_evictions();
-  s.dist_bytes_sent = dist_bytes_sent();
-  s.dist_bytes_received = dist_bytes_received();
-  s.workers_lost = workers_lost();
-  s.partitions_reexecuted = partitions_reexecuted();
-  return s;
-}
-
 std::string Metrics::ToString() const { return Snapshot().ToString(); }
 
 std::string StageStatsSnapshot::ToString() const {
@@ -136,11 +201,10 @@ StageStatsSnapshot StageStats::Snapshot() const {
 }
 
 StageRef StageRegistry::NewStage(const std::string& label,
-                                 const std::string& kind,
-                                 Metrics* session) {
+                                 const std::string& kind) {
   std::lock_guard<std::mutex> lock(mu_);
   const int id = static_cast<int>(stages_.size());
-  stages_.emplace_back(id, label, kind, totals_, session);
+  stages_.emplace_back(id, label, kind);
   return StageRef{gen_, id};
 }
 

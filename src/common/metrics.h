@@ -1,389 +1,139 @@
-// Runtime metrics: shuffle traffic, record counts, and stage timings.
-// Benchmarks report these next to wall time so the causal story behind a
-// speedup (e.g. "SUMMA shuffles 8x fewer bytes") is auditable.
-//
-// Two layers:
-//  * Metrics       -- engine-wide cumulative totals.
-//  * StageRegistry -- one StageStats per plan stage (= per DISC operator
-//    invocation, keyed by the dataset node's label). Every stage-level
-//    increment forwards to the totals, so the registry is a strict
-//    refinement of Metrics: summing any counter over all stages
-//    reproduces the engine-wide value. Exception: the kernel-layer
-//    counters (flops_* and tile_allocs) are metered engine-wide from the
-//    planner's run closures, which execute outside any single stage's
-//    scope, so their per-stage values stay zero.
-//
-// Concurrency: Metrics is sharded. Writers land on a per-thread shard
-// (cache-line padded, relaxed atomics within the shard since several
-// threads may hash to one), so the per-record hot path never contends on
-// a shared cache line. Readers fold the shards: Snapshot() and the
-// counter getters sum across shards, which is exact only when no writer
-// is concurrently mid-increment -- the same "not during a query" contract
-// Reset() always had. Shuffle byte counters distinguish three views:
-// shuffle_bytes (serialized bytes that crossed partitions),
-// cross_executor_bytes (the subset that crossed executors) and
-// local_shuffle_bytes (bytes routed executor-locally by the zero-copy
-// fast path, metered via Value::SerializedSize so fast-path and
-// forced-serialize runs account identically; see DESIGN.md section 8).
+// Runtime metrics, reported next to wall time so the causal story behind
+// a speedup ("SUMMA shuffles 8x fewer bytes") is auditable. Every counter
+// is named once, in SAC_METRICS_FOR_EACH_COUNTER; enum, snapshot fields,
+// shards, fold and JSON writer are generated from it. Metrics holds
+// engine (or session) totals, StageStats one plan stage (one operator
+// run), and MeterSink is the one way to meter (see there). Tasks install
+// their sink as the thread's current one, so kernel counters metered
+// inside run closures reach their stage too: a stage-scope counter summed
+// over all stages equals the total. Writers hit a per-thread padded shard
+// (relaxed atomics); reads fold the shards, exact when no query runs.
 #ifndef SAC_COMMON_METRICS_H_
 #define SAC_COMMON_METRICS_H_
 
 #include <atomic>
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "src/common/stopwatch.h"
 #include "src/common/trace.h"
 
 namespace sac {
 
-/// Every MetricsSnapshot counter, in declaration order. Single source of
-/// truth for serialized counter names: bench report JSON, profile.json,
-/// and the docs glossary drift check (scripts/check_metrics_glossary.sh)
-/// all key off these strings. Extend this when adding a field.
-#define SAC_METRICS_FOR_EACH_COUNTER(X) \
-  X(shuffle_bytes)                      \
-  X(shuffle_records)                    \
-  X(cross_executor_bytes)               \
-  X(local_shuffle_bytes)                \
-  X(tasks_run)                          \
-  X(tasks_recomputed)                   \
-  X(records_processed)                  \
-  X(tasks_retried)                      \
-  X(retry_wait_us)                      \
-  X(faults_injected)                    \
-  X(checkpoint_bytes)                   \
-  X(checkpoint_restore_bytes)           \
-  X(evictions)                          \
-  X(bytes_evicted)                      \
-  X(bytes_reloaded)                     \
-  X(reload_recomputes)                  \
-  X(peak_resident_bytes)                \
-  X(flops_generic)                      \
-  X(flops_packed)                       \
-  X(flops_jvmlike)                      \
-  X(tile_allocs)                        \
-  X(queries_admitted)                   \
-  X(queries_queued)                     \
-  X(plan_cache_hits)                    \
-  X(plan_cache_misses)                  \
-  X(plan_cache_evictions)               \
-  X(dist_bytes_sent)                    \
-  X(dist_bytes_received)                \
-  X(workers_lost)                       \
-  X(partitions_reexecuted)
+/// X(field, Enumerator, scope), in report order; the field is the
+/// serialized name (bench JSON, profile.json, the docs glossary check).
+/// kStage: metered per stage, rolled up into the totals. kEngine:
+/// engine-wide only. kGauge: engine-wide high-water mark (Add raises it,
+/// folds take the max). Groups are documented in docs/OPERATIONS.md.
+#define SAC_METRICS_FOR_EACH_COUNTER(X)                        \
+  X(shuffle_bytes, kShuffleBytes, kStage)                      \
+  X(shuffle_records, kShuffleRecords, kStage)                  \
+  X(cross_executor_bytes, kCrossExecutorBytes, kStage)         \
+  X(local_shuffle_bytes, kLocalShuffleBytes, kStage)           \
+  X(tasks_run, kTasksRun, kStage)                              \
+  X(tasks_recomputed, kTasksRecomputed, kStage)                \
+  X(records_processed, kRecordsProcessed, kStage)              \
+  X(tasks_retried, kTasksRetried, kStage)                      \
+  X(retry_wait_us, kRetryWaitUs, kStage)                       \
+  X(faults_injected, kFaultsInjected, kStage)                  \
+  X(checkpoint_bytes, kCheckpointBytes, kStage)                \
+  X(checkpoint_restore_bytes, kCheckpointRestoreBytes, kStage) \
+  X(evictions, kEvictions, kStage)                             \
+  X(bytes_evicted, kBytesEvicted, kStage)                      \
+  X(bytes_reloaded, kBytesReloaded, kStage)                    \
+  X(reload_recomputes, kReloadRecomputes, kStage)              \
+  X(peak_resident_bytes, kPeakResidentBytes, kGauge)           \
+  X(flops_generic, kFlopsGeneric, kStage)                      \
+  X(flops_packed, kFlopsPacked, kStage)                        \
+  X(flops_jvmlike, kFlopsJvmlike, kStage)                      \
+  X(tile_allocs, kTileAllocs, kStage)                          \
+  X(queries_admitted, kQueriesAdmitted, kEngine)               \
+  X(queries_queued, kQueriesQueued, kEngine)                   \
+  X(plan_cache_hits, kPlanCacheHits, kEngine)                  \
+  X(plan_cache_misses, kPlanCacheMisses, kEngine)              \
+  X(plan_cache_evictions, kPlanCacheEvictions, kEngine)        \
+  X(dist_bytes_sent, kDistBytesSent, kStage)                   \
+  X(dist_bytes_received, kDistBytesReceived, kStage)           \
+  X(workers_lost, kWorkersLost, kEngine)                       \
+  X(partitions_reexecuted, kPartitionsReexecuted, kStage)
 
-/// Plain, copyable view of the counters, folded once across shards --
-/// use this instead of reading individual getters non-atomically mid-run.
+enum class CounterScope : uint8_t { kStage, kEngine, kGauge };
+
+enum class Counter : uint8_t {
+#define SAC_METRICS_ENUM(field, id, scope) id,
+  SAC_METRICS_FOR_EACH_COUNTER(SAC_METRICS_ENUM)
+#undef SAC_METRICS_ENUM
+};
+
+inline constexpr CounterScope kCounterScopes[] = {
+#define SAC_METRICS_SCOPE(field, id, scope) CounterScope::scope,
+    SAC_METRICS_FOR_EACH_COUNTER(SAC_METRICS_SCOPE)
+#undef SAC_METRICS_SCOPE
+};
+inline constexpr size_t kNumCounters = std::size(kCounterScopes);
+
+constexpr CounterScope ScopeOf(Counter c) {
+  return kCounterScopes[static_cast<size_t>(c)];
+}
+/// Serialized name of `c` (its snapshot field name).
+const char* CounterName(Counter c);
+
+/// Plain, copyable view of the counters, folded once across shards.
 struct MetricsSnapshot {
-  uint64_t shuffle_bytes = 0;
-  uint64_t shuffle_records = 0;
-  uint64_t cross_executor_bytes = 0;
-  uint64_t local_shuffle_bytes = 0;
-  uint64_t tasks_run = 0;
-  uint64_t tasks_recomputed = 0;
-  uint64_t records_processed = 0;
-  // Recovery subsystem (docs/FAULT_MODEL.md): attempts beyond the first,
-  // time slept in backoff before them, faults the FaultPlan injected, and
-  // checkpoint spill-file traffic in both directions.
-  uint64_t tasks_retried = 0;
-  uint64_t retry_wait_us = 0;
-  uint64_t faults_injected = 0;
-  uint64_t checkpoint_bytes = 0;
-  uint64_t checkpoint_restore_bytes = 0;
-  // Memory subsystem (docs/MEMORY_MODEL.md): partitions pushed out to
-  // spill files by budget pressure, bytes written out / read back by
-  // eviction+reload, reloads that had to fall back to lineage
-  // recomputation (unreadable spill), and the high-water mark of
-  // resident partition bytes (engine-wide gauge, not per-stage).
-  uint64_t evictions = 0;
-  uint64_t bytes_evicted = 0;
-  uint64_t bytes_reloaded = 0;
-  uint64_t reload_recomputes = 0;
-  uint64_t peak_resident_bytes = 0;
-  // Kernel layer (docs/KERNELS.md): floating-point operations credited to
-  // each kernel backend by the tile kernels the planner dispatched, and
-  // output/temporary tiles allocated by elementwise plan stages (the
-  // counter the fusion gate in bench_abl_backend watches).
-  uint64_t flops_generic = 0;
-  uint64_t flops_packed = 0;
-  uint64_t flops_jvmlike = 0;
-  uint64_t tile_allocs = 0;
-  // Query service (docs/SERVICE.md): queries granted an admission ticket,
-  // queries that had to wait for one (max_concurrent_queries reached),
-  // and compiled-plan cache traffic (a hit skips parse->rewrite->plan).
-  uint64_t queries_admitted = 0;
-  uint64_t queries_queued = 0;
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t plan_cache_evictions = 0;
-  // Distributed runtime (docs/DISTRIBUTED.md): framed wire bytes in each
-  // direction between the driver and its workers (headers included),
-  // workers declared dead by the coordinator, and map-side partitions
-  // re-executed from lineage because their buckets died with a worker.
-  uint64_t dist_bytes_sent = 0;
-  uint64_t dist_bytes_received = 0;
-  uint64_t workers_lost = 0;
-  uint64_t partitions_reexecuted = 0;
+#define SAC_METRICS_FIELD(field, id, scope) uint64_t field = 0;
+  SAC_METRICS_FOR_EACH_COUNTER(SAC_METRICS_FIELD)
+#undef SAC_METRICS_FIELD
 
-  /// Invokes fn(name, value) for every counter, in declaration order
-  /// (names from SAC_METRICS_FOR_EACH_COUNTER). The mutable overload
-  /// passes the field by reference -- used by the profile JSON parser.
+  /// fn(name, value) per counter in list order (mutable: by reference).
+#define SAC_METRICS_APPLY(field, id, scope) fn(#field, field);
   template <typename Fn>
   void ForEachCounter(Fn&& fn) const {
-#define SAC_METRICS_APPLY(name) fn(#name, name);
     SAC_METRICS_FOR_EACH_COUNTER(SAC_METRICS_APPLY)
-#undef SAC_METRICS_APPLY
   }
   template <typename Fn>
   void ForEachCounter(Fn&& fn) {
-#define SAC_METRICS_APPLY(name) fn(#name, name);
     SAC_METRICS_FOR_EACH_COUNTER(SAC_METRICS_APPLY)
-#undef SAC_METRICS_APPLY
   }
+#undef SAC_METRICS_APPLY
 
+  uint64_t Get(Counter c) const;
+  uint64_t& Ref(Counter c);
+  /// Folds `other` in: sums counters, keeps the max of gauges.
+  void Accumulate(const MetricsSnapshot& other);
   std::string ToString() const;
 };
 
-/// Counters for one engine/session. All counters are cumulative;
-/// call Reset() between measured runs (never concurrently with a query --
-/// Engine::ResetStats enforces this with an in-flight check).
+/// Appends `"name":value` pairs (comma-separated, no braces); a
+/// `stage_row` leaves out the engine-wide-only counters.
+void AppendCounterFields(std::string* out, const MetricsSnapshot& c,
+                         bool stage_row);
+
+/// Cumulative counters of one engine, session or stage. Reset() between
+/// measured runs, never during a query (Engine::ResetStats enforces it).
 class Metrics {
  public:
-  void Reset() {
-    for (Shard& s : shards_) {
-      s.shuffle_bytes = 0;
-      s.shuffle_records = 0;
-      s.cross_executor_bytes = 0;
-      s.local_shuffle_bytes = 0;
-      s.tasks_run = 0;
-      s.tasks_recomputed = 0;
-      s.records_processed = 0;
-      s.tasks_retried = 0;
-      s.retry_wait_us = 0;
-      s.faults_injected = 0;
-      s.checkpoint_bytes = 0;
-      s.checkpoint_restore_bytes = 0;
-      s.evictions = 0;
-      s.bytes_evicted = 0;
-      s.bytes_reloaded = 0;
-      s.reload_recomputes = 0;
-      s.flops_generic = 0;
-      s.flops_packed = 0;
-      s.flops_jvmlike = 0;
-      s.tile_allocs = 0;
-      s.queries_admitted = 0;
-      s.queries_queued = 0;
-      s.plan_cache_hits = 0;
-      s.plan_cache_misses = 0;
-      s.plan_cache_evictions = 0;
-      s.dist_bytes_sent = 0;
-      s.dist_bytes_received = 0;
-      s.workers_lost = 0;
-      s.partitions_reexecuted = 0;
-    }
-    peak_resident_bytes_.store(0, std::memory_order_relaxed);
-  }
-
-  void AddShuffle(uint64_t bytes, uint64_t records, bool cross_executor) {
-    Shard& s = Local();
-    Bump(s.shuffle_bytes, bytes);
-    Bump(s.shuffle_records, records);
-    if (cross_executor) Bump(s.cross_executor_bytes, bytes);
-  }
-  /// Bytes moved by the executor-local zero-copy path (no serialization;
-  /// volume computed via Value::SerializedSize).
-  void AddLocalShuffle(uint64_t bytes) {
-    Bump(Local().local_shuffle_bytes, bytes);
-  }
-  void AddTask() { Bump(Local().tasks_run, 1); }
-  void AddRecompute() { Bump(Local().tasks_recomputed, 1); }
-  void AddRecords(uint64_t n) { Bump(Local().records_processed, n); }
-  /// One extra attempt of a task, after sleeping `wait_us` of backoff.
-  void AddRetry(uint64_t wait_us) {
-    Shard& s = Local();
-    Bump(s.tasks_retried, 1);
-    Bump(s.retry_wait_us, wait_us);
-  }
-  void AddFault() { Bump(Local().faults_injected, 1); }
-  void AddCheckpointWrite(uint64_t bytes) {
-    Bump(Local().checkpoint_bytes, bytes);
-  }
-  void AddCheckpointRestore(uint64_t bytes) {
-    Bump(Local().checkpoint_restore_bytes, bytes);
-  }
-  /// One partition evicted to a spill file under budget pressure.
-  void AddEviction(uint64_t bytes) {
-    Shard& s = Local();
-    Bump(s.evictions, 1);
-    Bump(s.bytes_evicted, bytes);
-  }
-  /// One evicted partition reloaded from its spill file.
-  void AddReload(uint64_t bytes) { Bump(Local().bytes_reloaded, bytes); }
-  /// One reload whose spill file was unreadable, forcing recomputation.
-  void AddReloadRecompute() { Bump(Local().reload_recomputes, 1); }
-  /// Flops executed by the named kernel backend (docs/KERNELS.md).
-  void AddFlopsGeneric(uint64_t flops) { Bump(Local().flops_generic, flops); }
-  void AddFlopsPacked(uint64_t flops) { Bump(Local().flops_packed, flops); }
-  void AddFlopsJvmlike(uint64_t flops) { Bump(Local().flops_jvmlike, flops); }
-  /// One tile (output or temporary) allocated by an elementwise stage.
-  void AddTileAllocs(uint64_t n) { Bump(Local().tile_allocs, n); }
-  /// One query granted an admission ticket; `queued` marks whether it had
-  /// to wait for a slot first (docs/SERVICE.md).
-  void AddQueryAdmitted(bool queued) {
-    Shard& s = Local();
-    Bump(s.queries_admitted, 1);
-    if (queued) Bump(s.queries_queued, 1);
-  }
-  /// Plan-cache traffic: a hit serves a compiled plan without
-  /// parse->rewrite->plan; evictions count entries displaced by capacity.
-  void AddPlanCacheHit() { Bump(Local().plan_cache_hits, 1); }
-  void AddPlanCacheMiss() { Bump(Local().plan_cache_misses, 1); }
-  void AddPlanCacheEvictions(uint64_t n) {
-    Bump(Local().plan_cache_evictions, n);
-  }
-  /// Framed wire bytes sent to / received from workers (dist transport).
-  void AddDistSent(uint64_t bytes) { Bump(Local().dist_bytes_sent, bytes); }
-  void AddDistReceived(uint64_t bytes) {
-    Bump(Local().dist_bytes_received, bytes);
-  }
-  /// One worker declared dead by the coordinator.
-  void AddWorkerLost() { Bump(Local().workers_lost, 1); }
-  /// One map-side partition re-executed from lineage to rebuild buckets
-  /// lost with a dead worker.
-  void AddReexecutedPartition() {
-    Bump(Local().partitions_reexecuted, 1);
-  }
-  /// Monotone max-update of the resident-partition-bytes high-water mark.
-  void UpdatePeakResident(uint64_t resident_bytes) {
-    uint64_t prev = peak_resident_bytes_.load(std::memory_order_relaxed);
-    while (prev < resident_bytes &&
-           !peak_resident_bytes_.compare_exchange_weak(
-               prev, resident_bytes, std::memory_order_relaxed)) {
-    }
-  }
-
-  uint64_t shuffle_bytes() const { return Fold(&Shard::shuffle_bytes); }
-  uint64_t shuffle_records() const { return Fold(&Shard::shuffle_records); }
-  uint64_t cross_executor_bytes() const {
-    return Fold(&Shard::cross_executor_bytes);
-  }
-  uint64_t local_shuffle_bytes() const {
-    return Fold(&Shard::local_shuffle_bytes);
-  }
-  uint64_t tasks_run() const { return Fold(&Shard::tasks_run); }
-  uint64_t tasks_recomputed() const { return Fold(&Shard::tasks_recomputed); }
-  uint64_t records_processed() const {
-    return Fold(&Shard::records_processed);
-  }
-  uint64_t tasks_retried() const { return Fold(&Shard::tasks_retried); }
-  uint64_t retry_wait_us() const { return Fold(&Shard::retry_wait_us); }
-  uint64_t faults_injected() const { return Fold(&Shard::faults_injected); }
-  uint64_t checkpoint_bytes() const { return Fold(&Shard::checkpoint_bytes); }
-  uint64_t checkpoint_restore_bytes() const {
-    return Fold(&Shard::checkpoint_restore_bytes);
-  }
-  uint64_t evictions() const { return Fold(&Shard::evictions); }
-  uint64_t bytes_evicted() const { return Fold(&Shard::bytes_evicted); }
-  uint64_t bytes_reloaded() const { return Fold(&Shard::bytes_reloaded); }
-  uint64_t reload_recomputes() const {
-    return Fold(&Shard::reload_recomputes);
-  }
-  uint64_t peak_resident_bytes() const {
-    return peak_resident_bytes_.load(std::memory_order_relaxed);
-  }
-  uint64_t flops_generic() const { return Fold(&Shard::flops_generic); }
-  uint64_t flops_packed() const { return Fold(&Shard::flops_packed); }
-  uint64_t flops_jvmlike() const { return Fold(&Shard::flops_jvmlike); }
-  uint64_t tile_allocs() const { return Fold(&Shard::tile_allocs); }
-  uint64_t queries_admitted() const {
-    return Fold(&Shard::queries_admitted);
-  }
-  uint64_t queries_queued() const { return Fold(&Shard::queries_queued); }
-  uint64_t plan_cache_hits() const { return Fold(&Shard::plan_cache_hits); }
-  uint64_t plan_cache_misses() const {
-    return Fold(&Shard::plan_cache_misses);
-  }
-  uint64_t plan_cache_evictions() const {
-    return Fold(&Shard::plan_cache_evictions);
-  }
-  uint64_t dist_bytes_sent() const { return Fold(&Shard::dist_bytes_sent); }
-  uint64_t dist_bytes_received() const {
-    return Fold(&Shard::dist_bytes_received);
-  }
-  uint64_t workers_lost() const { return Fold(&Shard::workers_lost); }
-  uint64_t partitions_reexecuted() const {
-    return Fold(&Shard::partitions_reexecuted);
-  }
-
+  void Reset();
+  /// Adds `n` to counter `c` (raises it to at least `n` for a gauge).
+  void Add(Counter c, uint64_t n);
+  /// Folded value of one counter (sum over shards; max for a gauge).
+  uint64_t Get(Counter c) const;
   MetricsSnapshot Snapshot() const;
   std::string ToString() const;
 
  private:
-  // Power of two so the thread->shard map is a mask, sized to cover
-  // typical pool widths without making StageStats objects huge.
-  static constexpr size_t kShards = 16;
-
+  static constexpr size_t kShards = 16;  // power of two: a mask picks one
   struct alignas(64) Shard {
-    std::atomic<uint64_t> shuffle_bytes{0};
-    std::atomic<uint64_t> shuffle_records{0};
-    std::atomic<uint64_t> cross_executor_bytes{0};
-    std::atomic<uint64_t> local_shuffle_bytes{0};
-    std::atomic<uint64_t> tasks_run{0};
-    std::atomic<uint64_t> tasks_recomputed{0};
-    std::atomic<uint64_t> records_processed{0};
-    std::atomic<uint64_t> tasks_retried{0};
-    std::atomic<uint64_t> retry_wait_us{0};
-    std::atomic<uint64_t> faults_injected{0};
-    std::atomic<uint64_t> checkpoint_bytes{0};
-    std::atomic<uint64_t> checkpoint_restore_bytes{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> bytes_evicted{0};
-    std::atomic<uint64_t> bytes_reloaded{0};
-    std::atomic<uint64_t> reload_recomputes{0};
-    std::atomic<uint64_t> flops_generic{0};
-    std::atomic<uint64_t> flops_packed{0};
-    std::atomic<uint64_t> flops_jvmlike{0};
-    std::atomic<uint64_t> tile_allocs{0};
-    std::atomic<uint64_t> queries_admitted{0};
-    std::atomic<uint64_t> queries_queued{0};
-    std::atomic<uint64_t> plan_cache_hits{0};
-    std::atomic<uint64_t> plan_cache_misses{0};
-    std::atomic<uint64_t> plan_cache_evictions{0};
-    std::atomic<uint64_t> dist_bytes_sent{0};
-    std::atomic<uint64_t> dist_bytes_received{0};
-    std::atomic<uint64_t> workers_lost{0};
-    std::atomic<uint64_t> partitions_reexecuted{0};
+    std::atomic<uint64_t> v[kNumCounters] = {};
   };
-
-  static void Bump(std::atomic<uint64_t>& c, uint64_t v) {
-    c.fetch_add(v, std::memory_order_relaxed);
-  }
-
-  /// Shard owned by the calling thread (threads may share a shard; the
-  /// relaxed atomics keep sharing correct, just slower).
-  Shard& Local();
-
-  uint64_t Fold(std::atomic<uint64_t> Shard::* counter) const {
-    uint64_t total = 0;
-    for (const Shard& s : shards_) {
-      total += (s.*counter).load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
   Shard shards_[kShards];
-  // Gauge high-water mark, not a sharded counter: a max cannot be folded
-  // by summation, so it lives outside the shards (writes are rare --
-  // once per publish/reload, not per record).
-  std::atomic<uint64_t> peak_resident_bytes_{0};
 };
 
-/// Copyable per-stage view (see StageStats).
-struct StageStatsSnapshot {
+struct StageStatsSnapshot {  // copyable view of one StageStats
   int id = -1;
   std::string label;
   std::string kind;  // "source" | "narrow" | "shuffle" | "coshuffle" | ...
@@ -394,18 +144,12 @@ struct StageStatsSnapshot {
   std::string ToString() const;
 };
 
-/// Counters for one plan stage. Every Add* forwards to the engine-wide
-/// totals so the global Metrics stays the roll-up of all stages. When
-/// the stage belongs to a session (docs/SERVICE.md), a second sink
-/// receives the same increments, giving per-session attribution without
-/// touching any metering call site.
+/// Counters and timings of one plan stage; counters arrive through a
+/// MeterSink, which charges the totals and the session alongside.
 class StageStats {
  public:
-  StageStats(int id, std::string label, std::string kind, Metrics* totals,
-             Metrics* session = nullptr)
-      : id_(id), label_(std::move(label)), kind_(std::move(kind)),
-        totals_(totals), session_(session) {}
-
+  StageStats(int id, std::string label, std::string kind)
+      : id_(id), label_(std::move(label)), kind_(std::move(kind)) {}
   StageStats(const StageStats&) = delete;
   StageStats& operator=(const StageStats&) = delete;
 
@@ -414,106 +158,11 @@ class StageStats {
   const std::string& kind() const { return kind_; }
   const Metrics& counters() const { return local_; }
 
-  void AddShuffle(uint64_t bytes, uint64_t records, bool cross_executor) {
-    local_.AddShuffle(bytes, records, cross_executor);
-    if (totals_) totals_->AddShuffle(bytes, records, cross_executor);
-    if (session_) session_->AddShuffle(bytes, records, cross_executor);
-  }
-  void AddLocalShuffle(uint64_t bytes) {
-    local_.AddLocalShuffle(bytes);
-    if (totals_) totals_->AddLocalShuffle(bytes);
-    if (session_) session_->AddLocalShuffle(bytes);
-  }
-  void AddTask() {
-    local_.AddTask();
-    if (totals_) totals_->AddTask();
-    if (session_) session_->AddTask();
-  }
-  void AddRecompute() {
-    local_.AddRecompute();
-    if (totals_) totals_->AddRecompute();
-    if (session_) session_->AddRecompute();
-  }
-  void AddRecords(uint64_t n) {
-    local_.AddRecords(n);
-    if (totals_) totals_->AddRecords(n);
-    if (session_) session_->AddRecords(n);
-  }
-  void AddRetry(uint64_t wait_us) {
-    local_.AddRetry(wait_us);
-    if (totals_) totals_->AddRetry(wait_us);
-    if (session_) session_->AddRetry(wait_us);
-  }
-  void AddFault() {
-    local_.AddFault();
-    if (totals_) totals_->AddFault();
-    if (session_) session_->AddFault();
-  }
-  void AddCheckpointWrite(uint64_t bytes) {
-    local_.AddCheckpointWrite(bytes);
-    if (totals_) totals_->AddCheckpointWrite(bytes);
-    if (session_) session_->AddCheckpointWrite(bytes);
-  }
-  void AddCheckpointRestore(uint64_t bytes) {
-    local_.AddCheckpointRestore(bytes);
-    if (totals_) totals_->AddCheckpointRestore(bytes);
-    if (session_) session_->AddCheckpointRestore(bytes);
-  }
-  void AddEviction(uint64_t bytes) {
-    local_.AddEviction(bytes);
-    if (totals_) totals_->AddEviction(bytes);
-    if (session_) session_->AddEviction(bytes);
-  }
-  void AddReload(uint64_t bytes) {
-    local_.AddReload(bytes);
-    if (totals_) totals_->AddReload(bytes);
-    if (session_) session_->AddReload(bytes);
-  }
-  void AddReloadRecompute() {
-    local_.AddReloadRecompute();
-    if (totals_) totals_->AddReloadRecompute();
-    if (session_) session_->AddReloadRecompute();
-  }
-  void AddFlopsGeneric(uint64_t flops) {
-    local_.AddFlopsGeneric(flops);
-    if (totals_) totals_->AddFlopsGeneric(flops);
-    if (session_) session_->AddFlopsGeneric(flops);
-  }
-  void AddFlopsPacked(uint64_t flops) {
-    local_.AddFlopsPacked(flops);
-    if (totals_) totals_->AddFlopsPacked(flops);
-    if (session_) session_->AddFlopsPacked(flops);
-  }
-  void AddFlopsJvmlike(uint64_t flops) {
-    local_.AddFlopsJvmlike(flops);
-    if (totals_) totals_->AddFlopsJvmlike(flops);
-    if (session_) session_->AddFlopsJvmlike(flops);
-  }
-  void AddTileAllocs(uint64_t n) {
-    local_.AddTileAllocs(n);
-    if (totals_) totals_->AddTileAllocs(n);
-    if (session_) session_->AddTileAllocs(n);
-  }
-  void AddDistSent(uint64_t bytes) {
-    local_.AddDistSent(bytes);
-    if (totals_) totals_->AddDistSent(bytes);
-    if (session_) session_->AddDistSent(bytes);
-  }
-  void AddDistReceived(uint64_t bytes) {
-    local_.AddDistReceived(bytes);
-    if (totals_) totals_->AddDistReceived(bytes);
-    if (session_) session_->AddDistReceived(bytes);
-  }
-  void AddReexecutedPartition() {
-    local_.AddReexecutedPartition();
-    if (totals_) totals_->AddReexecutedPartition();
-    if (session_) session_->AddReexecutedPartition();
-  }
+  void Add(Counter c, uint64_t n) { local_.Add(c, n); }
   void RecordTaskMicros(uint64_t us) { task_us_.Record(us); }
   void AddWallMicros(uint64_t us) {
     wall_us_.fetch_add(us, std::memory_order_relaxed);
   }
-
   StageStatsSnapshot Snapshot() const;
 
  private:
@@ -521,52 +170,72 @@ class StageStats {
   const std::string label_;
   const std::string kind_;
   Metrics local_;
-  Metrics* totals_;
-  Metrics* session_;
   trace::Histogram task_us_;
   std::atomic<uint64_t> wall_us_{0};
 };
 
+/// Where metering lands: Add() charges the totals once, plus the stage
+/// and the session when present. "No stage" (a dataset whose stage
+/// predates the last ResetStats) is a null pointer here, not a branch at
+/// each call site. A default-constructed sink drops everything.
+class MeterSink {
+ public:
+  MeterSink() = default;
+  MeterSink(Metrics* totals, StageStats* stage, Metrics* session)
+      : totals_(totals), stage_(stage), session_(session) {}
+
+  void Add(Counter c, uint64_t n) const {
+    if (totals_) totals_->Add(c, n);
+    if (stage_) stage_->Add(c, n);
+    if (session_) session_->Add(c, n);
+  }
+  StageStats* stage() const { return stage_; }
+
+  /// The running task's sink (see Scope); the dropping one outside tasks.
+  static const MeterSink& Current();
+
+  /// RAII: makes `sink` (which must outlive the scope) the thread's
+  /// current sink, restoring the previous one on destruction.
+  class Scope {
+   public:
+    explicit Scope(const MeterSink& sink);
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    const MeterSink* prev_;
+  };
+
+ private:
+  Metrics* totals_ = nullptr;
+  StageStats* stage_ = nullptr;
+  Metrics* session_ = nullptr;
+};
+
 /// Reference to a stage that stays valid across StageRegistry::Reset():
-/// the generation tag makes stale references resolve to nullptr instead
-/// of aliasing a new stage.
+/// stale references resolve to nullptr instead of aliasing a new stage.
 struct StageRef {
   uint64_t gen = 0;
   int id = -1;
 };
 
-/// Owns the per-stage stats of one engine. Stage objects have stable
-/// addresses until Reset(); Reset() must not race with query execution
-/// (same contract as Metrics::Reset()).
+/// Owns the per-stage stats of one engine. Stage addresses are stable
+/// until Reset(), which must not race with query execution.
 class StageRegistry {
  public:
-  explicit StageRegistry(Metrics* totals) : totals_(totals) {}
-
-  /// Creates a stage and returns a generation-tagged reference to it.
-  /// When `session` is non-null the stage's counters additionally
-  /// forward to that per-session Metrics sink (docs/SERVICE.md); the
-  /// caller must keep the sink alive until the registry is Reset().
-  StageRef NewStage(const std::string& label, const std::string& kind,
-                    Metrics* session = nullptr);
-
-  /// Resolves a reference; nullptr when the ref predates the last
-  /// Reset() (or was never assigned).
+  StageRef NewStage(const std::string& label, const std::string& kind);
+  /// nullptr when the ref predates the last Reset() (or was never set).
   StageStats* Get(const StageRef& ref);
-
-  /// Current generation tag (bumped by Reset()); a StageRef with this gen
-  /// must resolve via Get() -- the invariant Engine::VerifyLineage checks.
+  /// Bumped by Reset(); a ref of this generation must resolve.
   uint64_t generation() const {
     std::lock_guard<std::mutex> lock(mu_);
     return gen_;
   }
-
   std::vector<StageStatsSnapshot> Snapshot() const;
-
   /// Drops all stages (totals are reset separately).
   void Reset();
-
   size_t size() const;
-
   /// Human-readable table, one row per stage.
   std::string ReportString() const;
 
@@ -574,28 +243,6 @@ class StageRegistry {
   mutable std::mutex mu_;
   uint64_t gen_ = 1;
   std::deque<StageStats> stages_;  // deque: stable addresses on growth
-  Metrics* totals_;
-};
-
-/// Wall-clock stopwatch in milliseconds.
-class Stopwatch {
- public:
-  Stopwatch() : start_(Clock::now()) {}
-  void Restart() { start_ = Clock::now(); }
-  double ElapsedMillis() const {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start_)
-        .count();
-  }
-  uint64_t ElapsedMicros() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              start_)
-            .count());
-  }
-
- private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point start_;
 };
 
 }  // namespace sac

@@ -47,33 +47,10 @@ std::string PhaseOf(const SpanRecord& task) {
   return task.name.substr(colon + 1, bracket - colon - 1);
 }
 
-void Accumulate(MetricsSnapshot* into, const MetricsSnapshot& from) {
-  // Sum everything, then repair the one gauge a sum is wrong for.
-  const uint64_t peak =
-      std::max(into->peak_resident_bytes, from.peak_resident_bytes);
-#define SAC_METRICS_APPLY(name) into->name += from.name;
-  SAC_METRICS_FOR_EACH_COUNTER(SAC_METRICS_APPLY)
-#undef SAC_METRICS_APPLY
-  into->peak_resident_bytes = peak;
-}
-
 void AppendF(std::string* out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
   *out += buf;
-}
-
-void AppendCounters(std::string* out, const MetricsSnapshot& c) {
-  *out += "{";
-  bool first = true;
-  c.ForEachCounter([&](const char* name, uint64_t value) {
-    if (!first) *out += ",";
-    first = false;
-    *out += "\"";
-    *out += name;
-    *out += "\":" + std::to_string(value);
-  });
-  *out += "}";
 }
 
 }  // namespace
@@ -231,7 +208,7 @@ Profile BuildProfile(ProfileInputs in) {
   for (auto& [key, agg] : aggs) {
     for (const StageStatsSnapshot& ss : in.stage_stats) {
       if (ss.label != agg.sp.name) continue;
-      Accumulate(&agg.sp.counters, ss.counters);
+      agg.sp.counters.Accumulate(ss.counters);
       agg.sp.has_counters = true;
     }
   }
@@ -290,8 +267,9 @@ std::string Profile::ToJson() const {
   out += ",\"coverage_pct\":";
   AppendF(&out, coverage_pct);
   out += ",\"dropped_trace_events\":" + std::to_string(dropped_trace_events);
-  out += ",\"totals\":";
-  AppendCounters(&out, totals);
+  out += ",\"totals\":{";
+  AppendCounterFields(&out, totals, /*stage_row=*/false);
+  out += "}";
   out += ",\"stages\":[";
   for (size_t i = 0; i < stages.size(); ++i) {
     const StageProfile& s = stages[i];
@@ -312,8 +290,9 @@ std::string Profile::ToJson() const {
     out += ",\"task_p95_us\":" + std::to_string(s.task_p95_us);
     out += ",\"longest_task_us\":" + std::to_string(s.longest_task_us);
     if (s.has_counters) {
-      out += ",\"counters\":";
-      AppendCounters(&out, s.counters);
+      out += ",\"counters\":{";
+      AppendCounterFields(&out, s.counters, /*stage_row=*/true);
+      out += "}";
     }
     out += ",\"phases\":[";
     for (size_t j = 0; j < s.phases.size(); ++j) {

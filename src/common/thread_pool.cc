@@ -35,8 +35,8 @@ void ThreadPool::CloseQueue(QueueId id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = queues_.find(id);
   if (it == queues_.end()) return;
-  std::deque<std::function<void()>>& dflt = queues_[kDefaultQueue];
-  for (auto& task : it->second) dflt.push_back(std::move(task));
+  std::deque<Task>& dflt = queues_[kDefaultQueue];
+  for (Task& task : it->second) dflt.push_back(std::move(task));
   queues_.erase(it);
 }
 
@@ -45,7 +45,7 @@ void ThreadPool::Submit(QueueId queue, std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = queues_.find(queue);
     if (it == queues_.end()) it = queues_.find(kDefaultQueue);
-    it->second.push_back(std::move(task));
+    it->second.push_back(Task{std::move(task), nullptr});
     ++queued_;
   }
   cv_.notify_one();
@@ -56,7 +56,7 @@ void ThreadPool::Wait() {
   idle_cv_.wait(lock, [this] { return queued_ == 0 && active_ == 0; });
 }
 
-std::function<void()> ThreadPool::PopLocked() {
+ThreadPool::Task ThreadPool::PopLocked() {
   // One task per round from the first non-empty queue at or after the
   // cursor (wrapping), then advance past it: every queue with pending
   // work is served once before any queue is served twice.
@@ -66,7 +66,7 @@ std::function<void()> ThreadPool::PopLocked() {
     if (!it->second.empty()) break;
     ++it;
   }
-  std::function<void()> task = std::move(it->second.front());
+  Task task = std::move(it->second.front());
   it->second.pop_front();
   --queued_;
   rr_next_ = it->first + 1;
@@ -91,39 +91,30 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
   // One pool task per chunk: popping a chunk off the queue is the
   // dynamic claim (finishing order adapts to per-index cost), and the
   // round-robin scheduler can interleave other queues' tasks between
-  // chunks. A shared latch signals completion so this does not interfere
-  // with unrelated tasks in the same pool.
-  struct Ctl {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t pending;
-  };
-  auto ctl = std::make_shared<Ctl>();
+  // chunks. A per-call latch signals completion so this does not
+  // interfere with unrelated tasks in the same pool.
+  auto batch = std::make_shared<Batch>();
   const size_t chunks = (n + chunk - 1) / chunk;
-  ctl->pending = chunks;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = queues_.find(queue);
-    if (it == queues_.end()) it = queues_.find(kDefaultQueue);
-    for (size_t c = 0; c < chunks; ++c) {
-      const size_t lo = c * chunk;
-      const size_t hi = std::min(n, lo + chunk);
-      it->second.push_back([&fn, lo, hi, ctl] {
-        for (size_t i = lo; i < hi; ++i) fn(i);
-        std::lock_guard<std::mutex> inner(ctl->mu);
-        if (--ctl->pending == 0) ctl->cv.notify_all();
-      });
-    }
-    queued_ += chunks;
+  std::unique_lock<std::mutex> lock(mu_);
+  batch->pending = chunks;
+  auto it = queues_.find(queue);
+  if (it == queues_.end()) it = queues_.find(kDefaultQueue);
+  for (size_t c = 0; c < chunks; ++c) {
+    const size_t lo = c * chunk;
+    const size_t hi = std::min(n, lo + chunk);
+    it->second.push_back(Task{[&fn, lo, hi] {
+                                for (size_t i = lo; i < hi; ++i) fn(i);
+                              },
+                              batch});
   }
+  queued_ += chunks;
   cv_.notify_all();
-  std::unique_lock<std::mutex> lock(ctl->mu);
-  ctl->cv.wait(lock, [&] { return ctl->pending == 0; });
+  batch->done.wait(lock, [&] { return batch->pending == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return shutdown_ || queued_ > 0; });
@@ -131,10 +122,13 @@ void ThreadPool::WorkerLoop() {
       task = PopLocked();
       ++active_;
     }
-    task();
+    task.fn();
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_;
+      if (task.batch && --task.batch->pending == 0) {
+        task.batch->done.notify_all();
+      }
       if (queued_ == 0 && active_ == 0) idle_cv_.notify_all();
     }
   }

@@ -20,6 +20,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -70,7 +71,9 @@ class ThreadPool {
   void Wait();
 
   /// Runs fn(i) for i in [0, n), splitting work across the pool and
-  /// blocking until done. Safe to call from outside the pool only.
+  /// blocking until done: on return every chunk has fully retired, so
+  /// in_flight() no longer counts any of them. Safe to call from outside
+  /// the pool only.
   ///
   /// Scheduling is skew-aware: the range is cut into claim-chunks and
   /// each chunk is one pool task, so one fat index (a skewed partition)
@@ -89,16 +92,28 @@ class ThreadPool {
   static ThreadPool& Default();
 
  private:
+  /// Completion latch of one ParallelFor call, guarded by mu_ and
+  /// counted down by the worker in the same critical section that
+  /// retires the chunk from active_.
+  struct Batch {
+    size_t pending = 0;
+    std::condition_variable done;
+  };
+  struct Task {
+    std::function<void()> fn;
+    std::shared_ptr<Batch> batch;  // null for Submit()ted tasks
+  };
+
   void WorkerLoop();
   /// Picks the next task round-robin across non-empty queues. Caller
   /// holds mu_ and has checked queued_ > 0.
-  std::function<void()> PopLocked();
+  Task PopLocked();
 
   std::vector<std::thread> workers_;
   // Queue 0 (default) is created in the constructor and never erased;
   // session queues come and go via OpenQueue/CloseQueue. std::map keeps
   // ids ordered so the round-robin cursor can wrap deterministically.
-  std::map<QueueId, std::deque<std::function<void()>>> queues_;
+  std::map<QueueId, std::deque<Task>> queues_;
   QueueId next_queue_id_ = 1;
   QueueId rr_next_ = 0;  // round-robin cursor: next queue id to serve
   size_t queued_ = 0;    // total tasks across all queues

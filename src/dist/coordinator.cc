@@ -14,7 +14,7 @@ Coordinator::Coordinator(std::unique_ptr<net::Transport> transport,
                          trace::Tracer* tracer)
     : transport_(std::move(transport)),
       opts_(opts),
-      totals_(totals),
+      totals_(totals, nullptr, nullptr),
       tracer_(tracer) {
   const int n = transport_->num_peers();
   alive_.assign(static_cast<size_t>(n), 1);
@@ -24,36 +24,26 @@ Coordinator::Coordinator(std::unique_ptr<net::Transport> transport,
 
 Coordinator::~Coordinator() { StopHeartbeat(); }
 
-void Coordinator::MeterDist(StageStats* stats, uint64_t sent,
-                            uint64_t received) {
-  if (stats) {
-    stats->AddDistSent(sent);
-    stats->AddDistReceived(received);
-  } else if (totals_) {
-    totals_->AddDistSent(sent);
-    totals_->AddDistReceived(received);
-  }
-}
-
-Result<net::Frame> Coordinator::CallWorker(StageStats* stats, int worker,
+Result<net::Frame> Coordinator::CallWorker(const MeterSink& sink, int worker,
                                            const net::Frame& req) {
   Result<net::Frame> resp = transport_->Call(worker, req);
   if (!resp.ok()) return resp;
   // Meter only completed round trips: a torn connection's partial bytes
   // are unknowable, and the retry's successful frames get counted.
-  MeterDist(stats, net::EncodedSize(req), net::EncodedSize(resp.value()));
+  sink.Add(Counter::kDistBytesSent, net::EncodedSize(req));
+  sink.Add(Counter::kDistBytesReceived, net::EncodedSize(resp.value()));
   const Status carried = StatusFromFrame(resp.value());
   if (!carried.ok()) return carried;
   return resp;
 }
 
-Result<net::Frame> Coordinator::CallExecutor(StageStats* stats,
+Result<net::Frame> Coordinator::CallExecutor(const MeterSink& sink,
                                              int executor,
                                              const net::Frame& req) {
   int64_t delay_us = opts_.retry_base_delay_us;
   for (int attempt = 1; attempt <= opts_.max_attempts; ++attempt) {
     SAC_ASSIGN_OR_RETURN(const int worker, WorkerOf(executor));
-    Result<net::Frame> resp = CallWorker(stats, worker, req);
+    Result<net::Frame> resp = CallWorker(sink, worker, req);
     if (resp.ok()) return resp;
     if (resp.status().code() != StatusCode::kUnavailable) return resp;
     // The owner is gone; placement re-routes this executor onto a
@@ -75,7 +65,7 @@ Status Coordinator::ConnectAll() {
   net::Frame ping;
   ping.type = kPing;
   for (int w = 0; w < num_workers(); ++w) {
-    Result<net::Frame> resp = CallWorker(nullptr, w, ping);
+    Result<net::Frame> resp = CallWorker(totals_, w, ping);
     if (!resp.ok()) {
       return resp.status().WithContext("worker " + std::to_string(w) +
                                        " unreachable at startup");
@@ -126,7 +116,7 @@ bool Coordinator::MarkDead(int worker, const std::string& why) {
     alive_[static_cast<size_t>(worker)] = 0;
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
-  if (totals_) totals_->AddWorkerLost();
+  totals_.Add(Counter::kWorkersLost, 1);
   if (tracer_) {
     tracer_->Instant("worker-lost:" + std::to_string(worker), "dist", 0,
                      {{"worker", worker}});
@@ -137,7 +127,7 @@ bool Coordinator::MarkDead(int worker, const std::string& why) {
   return true;
 }
 
-Status Coordinator::PushBucket(StageStats* stats, const BucketId& id,
+Status Coordinator::PushBucket(const MeterSink& sink, const BucketId& id,
                                int dest_executor,
                                const std::vector<uint8_t>& bytes) {
   net::Frame req;
@@ -147,7 +137,7 @@ Status Coordinator::PushBucket(StageStats* stats, const BucketId& id,
   EncodeBucketId(id, &w);
   w.PutRaw(bytes.data(), bytes.size());
   SAC_ASSIGN_OR_RETURN(net::Frame resp,
-                       CallExecutor(stats, dest_executor, req));
+                       CallExecutor(sink, dest_executor, req));
   if (resp.type != kPutBucketOk) {
     return Status::DataLoss("unexpected response type " +
                             std::to_string(resp.type) + " to PutBucket");
@@ -155,7 +145,7 @@ Status Coordinator::PushBucket(StageStats* stats, const BucketId& id,
   return Status::OK();
 }
 
-Result<std::vector<uint8_t>> Coordinator::FetchBucket(StageStats* stats,
+Result<std::vector<uint8_t>> Coordinator::FetchBucket(const MeterSink& sink,
                                                       const BucketId& id,
                                                       int dest_executor) {
   net::Frame req;
@@ -164,7 +154,7 @@ Result<std::vector<uint8_t>> Coordinator::FetchBucket(StageStats* stats,
   ByteWriter w(&req.payload);
   EncodeBucketId(id, &w);
   SAC_ASSIGN_OR_RETURN(net::Frame resp,
-                       CallExecutor(stats, dest_executor, req));
+                       CallExecutor(sink, dest_executor, req));
   if (resp.type != kGetBucketOk) {
     return Status::DataLoss("unexpected response type " +
                             std::to_string(resp.type) + " to GetBucket");
@@ -185,7 +175,7 @@ void Coordinator::DropShuffle(uint64_t sid) {
     }
     // Best-effort: a failure here means the worker died, and its
     // buckets with it.
-    CallWorker(nullptr, worker, req);
+    CallWorker(totals_, worker, req);
   }
 }
 
@@ -197,7 +187,7 @@ void Coordinator::ShutdownWorkers() {
       std::lock_guard<std::mutex> lock(mu_);
       if (!alive_[static_cast<size_t>(worker)]) continue;
     }
-    CallWorker(nullptr, worker, req);
+    CallWorker(totals_, worker, req);
   }
 }
 
@@ -210,7 +200,7 @@ void Coordinator::SweepOnce() {
       std::lock_guard<std::mutex> lock(mu_);
       if (!alive_[static_cast<size_t>(worker)]) continue;
     }
-    Result<net::Frame> resp = CallWorker(nullptr, worker, ping);
+    Result<net::Frame> resp = CallWorker(totals_, worker, ping);
     if (resp.ok()) {
       ByteReader r(resp.value().payload);
       Result<PingInfo> info = DecodePingInfo(&r);

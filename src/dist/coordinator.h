@@ -19,8 +19,9 @@
 //    its worker comes back DataLoss, the engine's signal to re-execute
 //    the map side from lineage (partitions_reexecuted).
 //
-// Wire traffic is metered into dist_bytes_sent / dist_bytes_received on
-// the stage's StageStats when one is given, else on the engine totals.
+// Wire traffic is metered into dist_bytes_sent / dist_bytes_received
+// through the caller's MeterSink; RPCs no stage asked for (connect,
+// heartbeat, drop) meter onto the engine totals only.
 #ifndef SAC_DIST_COORDINATOR_H_
 #define SAC_DIST_COORDINATOR_H_
 
@@ -101,13 +102,13 @@ class Coordinator {
   /// `dest_executor`. Retries with backoff across deaths (re-placing
   /// each attempt); fails only when no worker is left or attempts run
   /// out.
-  Status PushBucket(StageStats* stats, const BucketId& id,
+  Status PushBucket(const MeterSink& sink, const BucketId& id,
                     int dest_executor, const std::vector<uint8_t>& bytes);
 
   /// Fetches `id` from the worker hosting executor `dest_executor`.
   /// DataLoss means the bucket died with a worker: re-execute its map
   /// side and re-push, then fetch again.
-  Result<std::vector<uint8_t>> FetchBucket(StageStats* stats,
+  Result<std::vector<uint8_t>> FetchBucket(const MeterSink& sink,
                                            const BucketId& id,
                                            int dest_executor);
 
@@ -130,19 +131,18 @@ class Coordinator {
  private:
   /// One raw RPC to a fixed worker, metering wire bytes. kError frames
   /// decode into their carried Status.
-  Result<net::Frame> CallWorker(StageStats* stats, int worker,
+  Result<net::Frame> CallWorker(const MeterSink& sink, int worker,
                                 const net::Frame& req);
   /// The RPC retry loop: resolve the executor's worker, call, and on an
   /// Unavailable answer mark the worker dead, back off, re-place, and
   /// try again. Non-Unavailable errors return immediately.
-  Result<net::Frame> CallExecutor(StageStats* stats, int executor,
+  Result<net::Frame> CallExecutor(const MeterSink& sink, int executor,
                                   const net::Frame& req);
-  void MeterDist(StageStats* stats, uint64_t sent, uint64_t received);
   void HeartbeatLoop();
 
   std::unique_ptr<net::Transport> transport_;
   const CoordinatorOptions opts_;
-  Metrics* totals_;
+  const MeterSink totals_;  // the engine totals alone
   trace::Tracer* tracer_;
 
   mutable std::mutex mu_;  // guards alive_ / pids_ / missed_ms_

@@ -182,17 +182,18 @@ uint64_t GemmFlops(const Tile& a, const Tile& b) {
          static_cast<uint64_t>(a.cols()) * static_cast<uint64_t>(b.cols());
 }
 
-void MeterFlops(Metrics* metrics, BackendKind kind, uint64_t flops) {
-  if (metrics == nullptr || flops == 0) return;
+void MeterFlops(BackendKind kind, uint64_t flops) {
+  if (flops == 0) return;
+  const MeterSink& sink = MeterSink::Current();
   switch (kind) {
     case BackendKind::kGeneric:
-      metrics->AddFlopsGeneric(flops);
+      sink.Add(Counter::kFlopsGeneric, flops);
       break;
     case BackendKind::kPacked:
-      metrics->AddFlopsPacked(flops);
+      sink.Add(Counter::kFlopsPacked, flops);
       break;
     case BackendKind::kJvmlike:
-      metrics->AddFlopsJvmlike(flops);
+      sink.Add(Counter::kFlopsJvmlike, flops);
       break;
   }
 }

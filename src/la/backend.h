@@ -11,9 +11,8 @@
 //                non-native Breeze path (src/la/jvmlike.h).
 //
 // Selection: ClusterConfig::kernel_backend / SAC_KERNEL_BACKEND, resolved
-// once at Engine construction (default "packed"). The MLlib baseline
-// series additionally pins jvmlike via PlannerOptions::use_jvmlike_kernels
-// regardless of the engine backend.
+// once at Engine construction (default "packed"). It is the only kernel
+// switch: MLlib-shaped runs configure kernel_backend = "jvmlike".
 //
 // Numerics: all three backends accumulate GEMM with the same per-element
 // order (accumulator loaded from C, k ascending, no k-blocking), so
@@ -26,10 +25,6 @@
 #include <string_view>
 
 #include "src/la/tile.h"
-
-namespace sac {
-class Metrics;
-}  // namespace sac
 
 namespace sac::la {
 
@@ -83,8 +78,9 @@ std::string_view BackendName(BackendKind kind);
 uint64_t GemmFlops(const Tile& a, const Tile& b);
 
 /// Credits `flops` to the per-backend flop counter (flops_generic /
-/// flops_packed / flops_jvmlike). No-op when metrics is null.
-void MeterFlops(Metrics* metrics, BackendKind kind, uint64_t flops);
+/// flops_packed / flops_jvmlike) through the calling thread's current
+/// MeterSink, i.e. the stage of the task running the kernel.
+void MeterFlops(BackendKind kind, uint64_t flops);
 
 }  // namespace sac::la
 

@@ -103,14 +103,11 @@ struct PlannerOptions {
   bool force_coo = false;
   /// Largest total input cell count the local fallback will collect.
   int64_t local_fallback_max_cells = 1 << 22;
-  /// Use the deliberately generic "jvmlike" kernels inside tile operations
-  /// (models a library baseline; the generated-code path keeps this off).
-  bool use_jvmlike_kernels = false;
   /// Fuse a transpose feeding an elementwise op into one blocked pass
   /// (src/la/fused.h): same values, one fewer tile allocation per stage.
-  /// The jvmlike baseline ignores this and keeps the materialized
-  /// two-pass form. bench_abl_backend's fusion gate flips it off for the
-  /// unfused arm.
+  /// An engine on the jvmlike backend ignores this and keeps the
+  /// materialized two-pass form. bench_abl_backend's fusion gate flips
+  /// it off for the unfused arm.
   bool fuse_elementwise = true;
   /// Cost-based planning (docs/COST_MODEL.md): when both the 5.3
   /// reduceByKey and the 5.4 group-by-join translation apply, pick the one

@@ -76,7 +76,6 @@ std::string PlanCacheKey(const std::string& src, const Bindings& binds,
   // Every option that can change the chosen plan or its shape.
   os << ";opt:gbj" << options.enable_group_by_join
      << ",coo" << options.force_coo
-     << ",jvm" << options.use_jvmlike_kernels
      << ",fuse" << options.fuse_elementwise
      << ",auto" << options.auto_strategy
      << ",lfc" << options.local_fallback_max_cells

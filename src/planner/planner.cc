@@ -14,7 +14,6 @@
 #include "src/exec/scalar_fn.h"
 #include "src/la/backend.h"
 #include "src/la/fused.h"
-#include "src/la/jvmlike.h"
 #include "src/la/kernels.h"
 #include "src/planner/fusion.h"
 
@@ -181,11 +180,14 @@ std::optional<size_t> VarPosInGen(const QueryShape& shape, const GenInfo& g,
   return std::nullopt;
 }
 
-/// Kernel backend for a run closure: the per-query jvmlike pin (the
-/// MLlib baseline series) wins over the engine's configured backend.
-const la::KernelBackend* RunBackend(Engine* eng, bool jvmlike) {
-  return jvmlike ? la::GetBackend(la::BackendKind::kJvmlike)
-                 : eng->kernel_backend();
+/// One output or temporary tile allocated by an elementwise stage,
+/// charged to the running task's stage.
+void CountTileAlloc() { MeterSink::Current().Add(Counter::kTileAllocs, 1); }
+
+/// The jvmlike backend models MLlib, which materializes every
+/// intermediate: it never takes the fused single-pass pipelines.
+bool Fusable(const la::KernelBackend* kb) {
+  return kb->kind() != la::BackendKind::kJvmlike;
 }
 
 la::ZipOp ToZipOp(const ZipPattern& pat) {
@@ -282,7 +284,6 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
 
     const TiledMatrix A = ba->tiled, B = bb->tiled;
     const auto ma = gmap[0], mb = gmap[1];
-    const bool jvmlike = opts.use_jvmlike_kernels;
     const bool fuse = opts.fuse_elementwise;
 
     CompiledQuery q;
@@ -320,7 +321,7 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
       SAC_ASSIGN_OR_RETURN(Dataset joined, eng->Join(ka, kb));
       const bool ta_swap = (ma[0] == 1);
       const bool tb_swap = (mb[0] == 1);
-      const la::KernelBackend* kbk = RunBackend(eng, jvmlike);
+      const la::KernelBackend* kbk = eng->kernel_backend();
       SAC_ASSIGN_OR_RETURN(
           Dataset out,
           eng->Map(
@@ -328,7 +329,6 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
               [=](const Value& row) {
                 la::Tile a = row.At(1).At(0).AsTile();
                 la::Tile b = row.At(1).At(1).AsTile();
-                Metrics* mets = &eng->metrics();
                 la::Tile v;
                 const bool patterned =
                     pat.kind != ZipPattern::Kind::kGeneric;
@@ -336,38 +336,37 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                   const double args[2] = {x, y};
                   return f(args);
                 };
-                if (fuse && !jvmlike && (ta_swap || tb_swap)) {
+                if (fuse && Fusable(kbk) && (ta_swap || tb_swap)) {
                   // Fused pipeline: the transposed reads fold into the
-                  // zip pass -- no transposed temporaries. jvmlike keeps
-                  // the two-pass form (MLlib materializes intermediates).
+                  // zip pass -- no transposed temporaries.
                   if (patterned) {
                     la::FusedZip(ToZipOp(pat), pat.alpha, pat.beta, a,
                                  ta_swap, b, tb_swap, &v);
                   } else {
                     la::FusedZipFn(zip_fn, a, ta_swap, b, tb_swap, &v);
                   }
-                  mets->AddTileAllocs(1);
+                  CountTileAlloc();
                 } else {
                   if (ta_swap) {
                     la::Tile t;
                     kbk->Transpose(a, &t);
                     a = std::move(t);
-                    mets->AddTileAllocs(1);
+                    CountTileAlloc();
                   }
                   if (tb_swap) {
                     la::Tile t;
                     kbk->Transpose(b, &t);
                     b = std::move(t);
-                    mets->AddTileAllocs(1);
+                    CountTileAlloc();
                   }
                   if (patterned) {
                     RunZipPattern(kbk, pat, a, b, &v);
                   } else {
                     la::ZipElements(a, b, zip_fn, &v);
                   }
-                  mets->AddTileAllocs(1);
+                  CountTileAlloc();
                 }
-                la::MeterFlops(mets, kbk->kind(),
+                la::MeterFlops(kbk->kind(),
                                static_cast<uint64_t>(v.size()) *
                                    pat.flops_per_element);
                 return VPair(row.At(0), Value::TileVal(std::move(v)));
@@ -406,7 +405,6 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                          exec::CompileScalarFn(hv, val_args, consts));
     const MapPattern mpat = MatchMapPattern(hv, val_args[0], consts);
     const bool identity = mpat.kind == MapPattern::Kind::kIdentity;
-    const bool jvmlike = opts.use_jvmlike_kernels;
     const bool fuse = opts.fuse_elementwise;
     const TiledMatrix A = ba->tiled;
     CompiledQuery q;
@@ -423,7 +421,7 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
       q.plan_nodes = pb.TakeNodes();
     }
     q.run = [=](Engine* eng) -> Result<QueryResult> {
-      const la::KernelBackend* kbk = RunBackend(eng, jvmlike);
+      const la::KernelBackend* kbk = eng->kernel_backend();
       SAC_ASSIGN_OR_RETURN(
           Dataset out,
           eng->Map(
@@ -434,14 +432,13 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                                 ? runtime::VTuple({c[1], c[0]})
                                 : row.At(0);
                 if (identity && !is_transpose) return VPair(key, row.At(1));
-                Metrics* mets = &eng->metrics();
                 const la::Tile& t0 = row.At(1).AsTile();
                 auto map_fn = [&f](double x) {
                   const double args[1] = {x};
                   return f(args);
                 };
                 la::Tile t;
-                if (fuse && !jvmlike) {
+                if (fuse && Fusable(kbk)) {
                   // Fused pipeline: transpose read + map in one pass (a
                   // pure transpose is already a single pass).
                   if (identity) {
@@ -451,14 +448,14 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                   } else {
                     la::FusedMapFn(map_fn, t0, is_transpose, &t);
                   }
-                  mets->AddTileAllocs(1);
+                  CountTileAlloc();
                 } else {
                   t = t0;
                   if (is_transpose) {
                     la::Tile tt;
                     kbk->Transpose(t, &tt);
                     t = std::move(tt);
-                    mets->AddTileAllocs(1);
+                    CountTileAlloc();
                   }
                   if (!identity) {
                     la::Tile v;
@@ -468,10 +465,10 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                       la::MapElements(t, map_fn, &v);
                     }
                     t = std::move(v);
-                    mets->AddTileAllocs(1);
+                    CountTileAlloc();
                   }
                 }
-                la::MeterFlops(mets, kbk->kind(),
+                la::MeterFlops(kbk->kind(),
                                static_cast<uint64_t>(t.size()) *
                                    mpat.flops_per_element);
                 return VPair(key, Value::TileVal(std::move(t)));
@@ -575,7 +572,6 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
     for (const GenInfo& g : shape.gens) val_args.push_back(g.val);
     SAC_ASSIGN_OR_RETURN(ScalarFn f,
                          exec::CompileScalarFn(hv, val_args, consts));
-    const bool jvmlike = opts.use_jvmlike_kernels;
     if (shape.gens.size() == 1) {
       const storage::BlockVector V = binds.at(shape.gens[0].source).vec;
       const MapPattern mpat = MatchMapPattern(hv, val_args[0], consts);
@@ -591,13 +587,12 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
         q.plan_nodes = pb.TakeNodes();
       }
       q.run = [=](Engine* eng) -> Result<QueryResult> {
-        const la::KernelBackend* kbk = RunBackend(eng, jvmlike);
+        const la::KernelBackend* kbk = eng->kernel_backend();
         SAC_ASSIGN_OR_RETURN(
             Dataset out,
             eng->Map(
                 V.blocks,
                 [=](const Value& row) {
-                  Metrics* mets = &eng->metrics();
                   la::Tile v;
                   if (mpat.kind == MapPattern::Kind::kScale) {
                     kbk->Scale(mpat.alpha, row.At(1).AsTile(), &v);
@@ -610,8 +605,8 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                         },
                         &v);
                   }
-                  mets->AddTileAllocs(1);
-                  la::MeterFlops(mets, kbk->kind(),
+                  CountTileAlloc();
+                  la::MeterFlops(kbk->kind(),
                                  static_cast<uint64_t>(v.size()) *
                                      mpat.flops_per_element);
                   return VPair(row.At(0), Value::TileVal(std::move(v)));
@@ -646,14 +641,13 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
         q.plan_nodes = pb.TakeNodes();
       }
       q.run = [=](Engine* eng) -> Result<QueryResult> {
-        const la::KernelBackend* kbk = RunBackend(eng, jvmlike);
+        const la::KernelBackend* kbk = eng->kernel_backend();
         SAC_ASSIGN_OR_RETURN(Dataset joined, eng->Join(Va.blocks, Vb.blocks));
         SAC_ASSIGN_OR_RETURN(
             Dataset out,
             eng->Map(
                 joined,
                 [=](const Value& row) {
-                  Metrics* mets = &eng->metrics();
                   la::Tile v;
                   if (pat.kind != ZipPattern::Kind::kGeneric) {
                     RunZipPattern(kbk, pat, row.At(1).At(0).AsTile(),
@@ -667,8 +661,8 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                         },
                         &v);
                   }
-                  mets->AddTileAllocs(1);
-                  la::MeterFlops(mets, kbk->kind(),
+                  CountTileAlloc();
+                  la::MeterFlops(kbk->kind(),
                                  static_cast<uint64_t>(v.size()) *
                                      pat.flops_per_element);
                   return VPair(row.At(0), Value::TileVal(std::move(v)));
@@ -1058,11 +1052,9 @@ Result<CompiledQuery> CompileQuery(const ExprPtr& query,
             auto rbk = TryReduceByKey(shape, binds, opts);
             if (rbk.ok()) {
               // Flop rate follows the backend the plan will run on: the
-              // jvmlike toggle forces that backend, otherwise the
               // engine-resolved ClusterConfig::kernel_backend.
               const analysis::CostModel cm = analysis::CostModelForBackend(
-                  opts.use_jvmlike_kernels ? "jvmlike"
-                                           : opts.cluster.kernel_backend);
+                  opts.cluster.kernel_backend);
               const analysis::CostEstimate gc = analysis::EstimateCost(
                   analysis::PlanGraph::FromQuery(gbj.value(), &binds, 0,
                                                  opts.cluster),

@@ -370,7 +370,7 @@ Result<JoinShape> AnalyzeJoinShape(const QueryShape& shape,
 /// 2-flop/MAC approximation (one g eval + one monoid step).
 void AccumulatePair(const JoinShape& js, const la::Tile& a, const la::Tile& b,
                     bool b_is_vector, const la::KernelBackend* kb,
-                    Metrics* metrics, std::vector<la::Tile>* accs) {
+                    std::vector<la::Tile>* accs) {
   if (b_is_vector) {
     // out(0, i) ⊕= g(a(i,k), b(0,k))
     for (size_t m = 0; m < js.g_fns.size(); ++m) {
@@ -385,13 +385,13 @@ void AccumulatePair(const JoinShape& js, const la::Tile& a, const la::Tile& b,
         am.Set(0, i, cell);
       }
     }
-    la::MeterFlops(metrics, kb->kind(),
+    la::MeterFlops(kb->kind(),
                    js.g_fns.size() * 2 * static_cast<uint64_t>(a.size()));
     return;
   }
   if (js.gemm_fast_path) {
     kb->GemmAccum(a, b, &(*accs)[0]);
-    la::MeterFlops(metrics, kb->kind(), la::GemmFlops(a, b));
+    la::MeterFlops(kb->kind(), la::GemmFlops(a, b));
     return;
   }
   // Generic semiring triple loop (supports e.g. min-plus).
@@ -409,18 +409,10 @@ void AccumulatePair(const JoinShape& js, const la::Tile& a, const la::Tile& b,
       }
     }
   }
-  la::MeterFlops(metrics, kb->kind(),
+  la::MeterFlops(kb->kind(),
                  js.g_fns.size() * 2 * static_cast<uint64_t>(a.rows()) *
                      static_cast<uint64_t>(b.cols()) *
                      static_cast<uint64_t>(a.cols()));
-}
-
-/// The kernel backend a run closure dispatches tile math through: the
-/// forced jvmlike baseline when the planner option is set, otherwise the
-/// engine's env-resolved backend (SAC_KERNEL_BACKEND).
-const la::KernelBackend* RunBackendFor(Engine* eng, bool use_jvmlike) {
-  return use_jvmlike ? la::GetBackend(la::BackendKind::kJvmlike)
-                     : eng->kernel_backend();
 }
 
 }  // namespace
@@ -512,7 +504,6 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
     }
     std::vector<ReduceOp> ops;
     for (const auto& a : js.aggs.aggs) ops.push_back(a.op);
-    const bool use_jvmlike = opts.use_jvmlike_kernels;
     const TiledMatrix A = ba.tiled;
     const Binding B = bb;
 
@@ -558,8 +549,7 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
       q.plan_nodes = pb.TakeNodes();
     }
     q.run = [=](Engine* eng) -> Result<QueryResult> {
-      const la::KernelBackend* kbk = RunBackendFor(eng, use_jvmlike);
-      Metrics* mets = &eng->metrics();
+      const la::KernelBackend* kbk = eng->kernel_backend();
       // Key A tiles by join coordinate.
       SAC_ASSIGN_OR_RETURN(
           Dataset ka,
@@ -608,7 +598,7 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
                     accs.push_back(
                         FilledTile(1, a.rows(), MonoidIdentity(op)));
                   }
-                  AccumulatePair(js, a, b, true, kbk, mets, &accs);
+                  AccumulatePair(js, a, b, true, kbk, &accs);
                   for (auto& t : accs) {
                     accs_v.push_back(Value::TileVal(std::move(t)));
                   }
@@ -620,7 +610,7 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
                     accs.push_back(
                         FilledTile(a.rows(), b.cols(), MonoidIdentity(op)));
                   }
-                  AccumulatePair(js, a, b, false, kbk, mets, &accs);
+                  AccumulatePair(js, a, b, false, kbk, &accs);
                   for (auto& t : accs) {
                     accs_v.push_back(Value::TileVal(std::move(t)));
                   }
@@ -721,7 +711,6 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
     const bool col_sums = g_is_val && out_is_vector && key_pos[0] == 1;
 
     const TiledMatrix A = bsrc.tiled;
-    const bool opts_use_jvmlike = opts.use_jvmlike_kernels;
     const bool vec_out = out_is_vector;
     const std::vector<size_t> kpos = key_pos;
     const int64_t orows = out_rows, ocols = out_cols, N = block;
@@ -756,9 +745,7 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
       q.plan_nodes = pb.TakeNodes();
     }
     q.run = [=](Engine* eng) -> Result<QueryResult> {
-      const la::KernelBackend* kbk =
-          RunBackendFor(eng, opts_use_jvmlike);
-      Metrics* mets = &eng->metrics();
+      const la::KernelBackend* kbk = eng->kernel_backend();
       SAC_ASSIGN_OR_RETURN(
           Dataset partials,
           eng->FlatMap(
@@ -775,7 +762,7 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
                   } else {
                     kbk->ColSums(t, part.data());
                   }
-                  la::MeterFlops(mets, kbk->kind(),
+                  la::MeterFlops(kbk->kind(),
                                  static_cast<uint64_t>(t.size()));
                   out->push_back(
                       VPair(VInt(row_sums ? bi : bj),
@@ -928,7 +915,6 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
 
   std::vector<ReduceOp> ops;
   for (const auto& a : js.aggs.aggs) ops.push_back(a.op);
-  const bool use_jvmlike = opts.use_jvmlike_kernels;
   const TiledMatrix A = ba.tiled, B = bb.tiled;
 
   CompiledQuery q;
@@ -954,8 +940,7 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
     q.plan_nodes = pb.TakeNodes();
   }
   q.run = [=](Engine* eng) -> Result<QueryResult> {
-    const la::KernelBackend* kbk = RunBackendFor(eng, use_jvmlike);
-    Metrics* mets = &eng->metrics();
+    const la::KernelBackend* kbk = eng->kernel_backend();
     const bool a_swap = (js.a_out_pos == 1);
     const bool b_swap = (js.b_join_pos == 1);
     // As: every A tile goes to every output column panel.
@@ -1019,7 +1004,7 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
                 const la::Tile a = Oriented(av.At(1).AsTile(), a_swap);
                 for (const Value* bv : it->second) {
                   const la::Tile b = Oriented(bv->At(1).AsTile(), b_swap);
-                  AccumulatePair(js, a, b, false, kbk, mets, &accs);
+                  AccumulatePair(js, a, b, false, kbk, &accs);
                   any = true;
                 }
               }

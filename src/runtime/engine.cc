@@ -74,16 +74,6 @@ Status ExpectPair(const Value& row) {
   return Status::OK();
 }
 
-/// SAC_SHUFFLE_FAST_PATH: unset/"on"/"1"/"true" => fast path (default);
-/// "off"/"0"/"false" => force the serialize-everything path.
-bool FastPathFromEnv() {
-  const char* v = std::getenv("SAC_SHUFFLE_FAST_PATH");
-  if (v == nullptr) return true;
-  std::string s(v);
-  for (char& c : s) c = static_cast<char>(std::tolower(c));
-  return !(s == "off" || s == "0" || s == "false");
-}
-
 /// Base directory for spill files when neither the call nor the config
 /// names one.
 std::string DefaultSpillDir() {
@@ -227,7 +217,6 @@ Engine::Engine(ClusterConfig config)
   SAC_CHECK_GE(config_.retry_max_delay_us, 0);
   SAC_CHECK_GE(config_.checkpoint_interval, 0);
   SetLogLevelFromEnv();
-  shuffle_fast_path_ = FastPathFromEnv();
   fault_plan_ = recovery::FaultPlan::FromEnv();
   config_.sample_interval_us =
       SampleIntervalFromEnv(config_.sample_interval_us);
@@ -247,8 +236,8 @@ Engine::Engine(ClusterConfig config)
       MaxConcurrentFromEnv(config_.max_concurrent_queries);
   config_.session_memory_budget_bytes = memory::BudgetFromEnv(
       "SAC_SESSION_MEM_BUDGET", config_.session_memory_budget_bytes);
-  admission_ = std::make_unique<AdmissionGate>(
-      config_.max_concurrent_queries, &metrics_);
+  admission_ =
+      std::make_unique<AdmissionGate>(config_.max_concurrent_queries);
   const std::string base = !config_.spill_dir.empty() ? config_.spill_dir
                            : !config_.checkpoint_dir.empty()
                                ? config_.checkpoint_dir
@@ -387,7 +376,7 @@ Status Engine::SetupDistributed() {
   return Status::OK();
 }
 
-Status Engine::PushShuffleBuckets(StageStats* stats, uint64_t shuffle_id,
+Status Engine::PushShuffleBuckets(const MeterSink& sink, uint64_t shuffle_id,
                                   int p, int src, ShuffleBuckets* bs) {
   const int num_dest = static_cast<int>(bs->remote_by_dest.size());
   for (int d = 0; d < num_dest; ++d) {
@@ -399,7 +388,7 @@ Status Engine::PushShuffleBuckets(StageStats* stats, uint64_t shuffle_id,
     id.dest = d;
     // Empty buckets are pushed too: a missing bucket on the reduce side
     // then always means loss, never "nothing was sent".
-    SAC_RETURN_NOT_OK(coord_->PushBucket(stats, id, ExecutorOf(d),
+    SAC_RETURN_NOT_OK(coord_->PushBucket(sink, id, ExecutorOf(d),
                                          *bs->remote_by_dest[d]));
     // Release the driver-side buffer; the worker's copy is now the only
     // one, so the reduce side must fetch it over the transport (and its
@@ -448,41 +437,31 @@ void Engine::SampleOnce() {
                              row_pool_.free_bytes())},
        {"in_flight_tasks", static_cast<int64_t>(pool_.in_flight())},
        {"live_queries", static_cast<int64_t>(live_queries())},
-       {"evictions", static_cast<int64_t>(metrics_.evictions())},
+       {"evictions", static_cast<int64_t>(metrics_.Get(Counter::kEvictions))},
        {"shuffle_bytes",
-        static_cast<int64_t>(metrics_.shuffle_bytes() +
-                             metrics_.local_shuffle_bytes())}});
+        static_cast<int64_t>(metrics_.Get(Counter::kShuffleBytes) +
+                             metrics_.Get(Counter::kLocalShuffleBytes))}});
 }
 
 void Engine::MeterBlockEvent(const memory::BlockEvent& ev) {
-  StageStats* stats = stages_.Get(ev.stage);
+  // Every block the engine publishes is owned by a dataset.
+  const MeterSink sink = SinkFor(static_cast<const DatasetImpl*>(ev.owner));
   switch (ev.kind) {
     case memory::BlockEvent::Kind::kEvict:
-      if (stats) {
-        stats->AddEviction(ev.bytes);
-      } else {
-        metrics_.AddEviction(ev.bytes);
-      }
+      sink.Add(Counter::kEvictions, 1);
+      sink.Add(Counter::kBytesEvicted, ev.bytes);
       tracer_.Instant("evict:" + ev.label, "memory", 0,
                       {{"partition", ev.part},
                        {"bytes", static_cast<int64_t>(ev.bytes)}});
       break;
     case memory::BlockEvent::Kind::kReload:
-      if (stats) {
-        stats->AddReload(ev.bytes);
-      } else {
-        metrics_.AddReload(ev.bytes);
-      }
+      sink.Add(Counter::kBytesReloaded, ev.bytes);
       tracer_.Instant("reload:" + ev.label, "memory", 0,
                       {{"partition", ev.part},
                        {"bytes", static_cast<int64_t>(ev.bytes)}});
       break;
     case memory::BlockEvent::Kind::kReloadRecompute:
-      if (stats) {
-        stats->AddReloadRecompute();
-      } else {
-        metrics_.AddReloadRecompute();
-      }
+      sink.Add(Counter::kReloadRecomputes, 1);
       tracer_.Instant("reload:" + ev.label, "memory", 0,
                       {{"partition", ev.part}, {"recompute", 1}});
       break;
@@ -516,8 +495,7 @@ Status Engine::PublishPartition(DatasetImpl* ds, int i, Partition rows) {
   ds->parts_[i] = std::move(rows);
   ds->available_[i] = 1;
   const uint64_t bytes = SerializedSizeOf(ds->parts_[i]);
-  Status st = store_->Publish(ds, i, &ds->parts_[i], bytes, ds->stage_,
-                              ds->label_,
+  Status st = store_->Publish(ds, i, &ds->parts_[i], bytes, ds->label_,
                               ds->session_ ? &ds->session_->memory()
                                            : nullptr);
   SyncPeakResident();
@@ -632,13 +610,11 @@ Dataset Engine::NewDataset(DatasetImpl::OpKind kind, std::string label,
   ds->parents_ = std::move(parents);
   ds->parts_.resize(num_partitions);
   ds->available_.assign(num_partitions, false);
-  // Datasets created under a Session::Scope belong to that session: the
-  // stage's counters dual-sink into its metrics, publishes charge its
+  // Datasets created under a Session::Scope belong to that session: its
+  // metering sinks charge the session's metrics, publishes charge its
   // memory slice, and its tasks land on its fair-scheduled queue.
   ds->session_ = Session::Current();
-  ds->stage_ = stages_.NewStage(
-      ds->label_, KindName(kind),
-      ds->session_ ? &ds->session_->metrics() : nullptr);
+  ds->stage_ = stages_.NewStage(ds->label_, KindName(kind));
   ds->store_ = store_;
   return ds;
 }
@@ -654,13 +630,11 @@ Status Engine::ParallelParts(const TaskContext& ctx, int n,
                                std::to_string(i) + "]",
                            "task", ctx.parent_span);
     Stopwatch sw;
-    if (ctx.stats) {
-      ctx.stats->AddTask();
-    } else {
-      metrics_.AddTask();
-    }
+    ctx.sink.Add(Counter::kTasksRun, 1);
     Status st = RunTaskWithRetry(ctx, static_cast<int>(i), fn);
-    if (ctx.stats) ctx.stats->RecordTaskMicros(sw.ElapsedMicros());
+    if (StageStats* stage = ctx.sink.stage()) {
+      stage->RecordTaskMicros(sw.ElapsedMicros());
+    }
     if (!st.ok()) {
       std::lock_guard<std::mutex> lock(mu);
       if (first_error.ok()) first_error = st;
@@ -674,11 +648,7 @@ Status Engine::CheckFault(recovery::FaultPoint point, const TaskContext& ctx,
   if (fault_plan_.empty()) return Status::OK();
   Status st = fault_plan_.Check(point, ctx.label, part, attempt);
   if (!st.ok()) {
-    if (ctx.stats) {
-      ctx.stats->AddFault();
-    } else {
-      metrics_.AddFault();
-    }
+    ctx.sink.Add(Counter::kFaultsInjected, 1);
     tracer_.Instant("fault:" + ctx.label, "fault", ctx.parent_span,
                     {{"partition", part}, {"attempt", attempt}});
     SAC_LOG(Info) << st.message();
@@ -689,6 +659,7 @@ Status Engine::CheckFault(recovery::FaultPoint point, const TaskContext& ctx,
 Status Engine::RunTaskWithRetry(const TaskContext& ctx, int part,
                                 const TaskAttemptFn& fn) {
   const int max_attempts = config_.max_task_attempts;
+  const MeterSink::Scope metering(ctx.sink);
   Status last;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     if (attempt > 1) {
@@ -703,11 +674,8 @@ Status Engine::RunTaskWithRetry(const TaskContext& ctx, int part,
       if (delay_us > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
       }
-      if (ctx.stats) {
-        ctx.stats->AddRetry(delay_us);
-      } else {
-        metrics_.AddRetry(delay_us);
-      }
+      ctx.sink.Add(Counter::kTasksRetried, 1);
+      ctx.sink.Add(Counter::kRetryWaitUs, delay_us);
       tracer_.Instant("retry:" + ctx.label, "retry", ctx.parent_span,
                       {{"partition", part},
                        {"attempt", attempt},
@@ -744,14 +712,13 @@ Dataset Engine::Parallelize(ValueVec rows, int num_partitions) {
     // created from caller rows have no lineage to recompute from.
     Status st =
         store_->Publish(ds.get(), i, &ds->parts_[i],
-                        SerializedSizeOf(ds->parts_[i]), ds->stage_,
-                        ds->label_,
+                        SerializedSizeOf(ds->parts_[i]), ds->label_,
                         ds->session_ ? &ds->session_->memory() : nullptr);
     if (!st.ok()) SAC_LOG(Warn) << "parallelize: " << st.ToString();
   }
   SyncPeakResident();
-  if (StageStats* stats = StatsFor(ds.get())) {
-    stats->AddWallMicros(sw.ElapsedMicros());
+  if (StageStats* stage = stages_.Get(ds->stage_)) {
+    stage->AddWallMicros(sw.ElapsedMicros());
   }
   return ds;
 }
@@ -783,8 +750,8 @@ Result<Dataset> Engine::GeneratePartitions(
             CheckFault(recovery::FaultPoint::kMidMap, ctx, i, attempt));
         return PublishPartition(ds.get(), i, std::move(tmp));
       }));
-  if (StageStats* stats = StatsFor(ds.get())) {
-    stats->AddWallMicros(sw.ElapsedMicros());
+  if (StageStats* stage = ctx.sink.stage()) {
+    stage->AddWallMicros(sw.ElapsedMicros());
   }
   return ds;
 }
@@ -831,7 +798,6 @@ Result<Dataset> Engine::MapPartitions(const Dataset& in, PartitionFn fn,
   Dataset ds = NewDataset(DatasetImpl::OpKind::kNarrow, label, {in},
                           in->num_partitions());
   ds->narrow_fn_ = fn;
-  StageStats* stats = StatsFor(ds.get());
   trace::ScopedSpan span(&tracer_, ds->label_, "stage");
   span.AddArg("stage", static_cast<int64_t>(ds->stage_.id));
   Stopwatch sw;
@@ -847,13 +813,13 @@ Result<Dataset> Engine::MapPartitions(const Dataset& in, PartitionFn fn,
         SAC_RETURN_NOT_OK(fn(pin.rows(), &tmp));
         SAC_RETURN_NOT_OK(
             CheckFault(recovery::FaultPoint::kMidMap, ctx, i, attempt));
-        AddRecordsTo(stats, pin.rows().size());
+        ctx.sink.Add(Counter::kRecordsProcessed, pin.rows().size());
         return PublishPartition(ds.get(), i, std::move(tmp));
       }));
-  if (stats) {
-    stats->AddWallMicros(sw.ElapsedMicros());
-    span.AddArg("records_in",
-                static_cast<int64_t>(stats->counters().records_processed()));
+  if (StageStats* stage = ctx.sink.stage()) {
+    stage->AddWallMicros(sw.ElapsedMicros());
+    span.AddArg("records_in", static_cast<int64_t>(stage->counters().Get(
+                                  Counter::kRecordsProcessed)));
   }
   return ds;
 }
@@ -886,22 +852,19 @@ Result<Engine::ShuffleBuckets> Engine::BucketRows(const TaskContext& ctx,
                                                   Partition rows,
                                                   int src_part,
                                                   int num_dest, int attempt) {
-  StageStats* stats = ctx.stats;
   ShuffleBuckets buckets;
   buckets.remote_by_dest.resize(num_dest);
   buckets.local_by_dest.resize(num_dest);
   const int src_exec = ExecutorOf(src_part);
-  const bool fast = shuffle_fast_path_;
 
   // A (src, dest) pair is entirely local or entirely remote, so each
-  // bucket checks out exactly one pooled container and the reduce-side
-  // concatenation order is identical on both paths.
+  // bucket checks out exactly one pooled container.
   std::vector<uint8_t> local_dest(num_dest, 0);
   std::vector<ByteWriter> writers;
   writers.reserve(num_dest);
   std::vector<uint64_t> local_bytes(num_dest, 0);
   for (int d = 0; d < num_dest; ++d) {
-    local_dest[d] = fast && ExecutorOf(d) == src_exec;
+    local_dest[d] = ExecutorOf(d) == src_exec;
     if (local_dest[d]) {
       buckets.local_by_dest[d] = AcquirePooled(&row_pool_);
       writers.emplace_back();  // placeholder, never written
@@ -941,26 +904,18 @@ Result<Engine::ShuffleBuckets> Engine::BucketRows(const TaskContext& ctx,
     ++buckets.records;
   }
 
-  auto add_shuffle = [&](uint64_t bytes, uint64_t records, bool cross) {
-    if (stats) {
-      stats->AddShuffle(bytes, records, cross);
-    } else {
-      metrics_.AddShuffle(bytes, records, cross);
-    }
-  };
+  const MeterSink& sink = ctx.sink;
   for (int d = 0; d < num_dest; ++d) {
     if (local_dest[d]) {
-      if (stats) {
-        stats->AddLocalShuffle(local_bytes[d]);
-      } else {
-        metrics_.AddLocalShuffle(local_bytes[d]);
-      }
-    } else {
-      add_shuffle(buckets.remote_by_dest[d]->size(), 0,
-                  ExecutorOf(src_part) != ExecutorOf(d));
+      sink.Add(Counter::kLocalShuffleBytes, local_bytes[d]);
+      continue;
     }
+    // Remote buckets are exactly the other executors' destinations.
+    const uint64_t bytes = buckets.remote_by_dest[d]->size();
+    sink.Add(Counter::kShuffleBytes, bytes);
+    sink.Add(Counter::kCrossExecutorBytes, bytes);
   }
-  add_shuffle(0, buckets.records, false);
+  sink.Add(Counter::kShuffleRecords, buckets.records);
   return buckets;
 }
 
@@ -984,7 +939,6 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
                               int only_dest) {
   const int num_dest = ds->num_partitions();
   const int num_parents = static_cast<int>(ds->parents_.size());
-  StageStats* stats = StatsFor(ds);
   trace::ScopedSpan stage_span(
       &tracer_, only_dest < 0 ? ds->label_ : ds->label_ + ":recover",
       "stage");
@@ -1006,6 +960,7 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
   std::vector<std::vector<ShuffleBuckets>> buckets(num_parents);
   const TaskContext write_ctx = ContextFor(ds, stage_span.id(),
                                            "shuffle-write");
+  const MeterSink& sink = write_ctx.sink;
   for (int p = 0; p < num_parents; ++p) {
     SAC_RETURN_NOT_OK(Recover(ds->parents_[p]));
     DatasetImpl* parent = ds->parents_[p].get();
@@ -1022,9 +977,9 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
                                BucketRows(write_ctx, std::move(combined), s,
                                           num_dest, attempt));
           if (coord_) {
-            SAC_RETURN_NOT_OK(PushShuffleBuckets(stats, sid, p, s, &bs));
+            SAC_RETURN_NOT_OK(PushShuffleBuckets(sink, sid, p, s, &bs));
           }
-          AddRecordsTo(stats, pin.rows().size());
+          sink.Add(Counter::kRecordsProcessed, pin.rows().size());
           buckets[p][s] = std::move(bs);
           return Status::OK();
         }));
@@ -1057,12 +1012,8 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
     // never left driver memory, so the fresh copies are discarded with
     // `fresh` (the map side is deterministic -- identical bytes either
     // way).
-    SAC_RETURN_NOT_OK(PushShuffleBuckets(stats, sid, p, s, &fresh));
-    if (stats) {
-      stats->AddReexecutedPartition();
-    } else {
-      metrics_.AddReexecutedPartition();
-    }
+    SAC_RETURN_NOT_OK(PushShuffleBuckets(sink, sid, p, s, &fresh));
+    sink.Add(Counter::kPartitionsReexecuted, 1);
     tracer_.Instant("reexec:" + ds->label_, "dist", stage_span.id(),
                     {{"parent", p}, {"src", s}});
     reexec_epoch[key] = epoch;
@@ -1080,7 +1031,7 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
     Status last = Status::OK();
     for (int round = 0; round < max_rounds; ++round) {
       Result<std::vector<uint8_t>> got =
-          coord_->FetchBucket(stats, id, ExecutorOf(d));
+          coord_->FetchBucket(sink, id, ExecutorOf(d));
       if (got.ok()) return got;
       if (got.status().code() != StatusCode::kDataLoss) return got;
       last = got.status();
@@ -1150,9 +1101,9 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
   // The stage is folded; free its buckets on the workers (best-effort --
   // a dead worker's buckets died with it).
   if (coord_) coord_->DropShuffle(sid);
-  if (stats) {
-    stats->AddWallMicros(stage_sw.ElapsedMicros());
-    const MetricsSnapshot c = stats->counters().Snapshot();
+  if (StageStats* stage = sink.stage()) {
+    stage->AddWallMicros(stage_sw.ElapsedMicros());
+    const MetricsSnapshot c = stage->counters().Snapshot();
     stage_span.AddArg("shuffle_bytes",
                       static_cast<int64_t>(c.shuffle_bytes));
     stage_span.AddArg("shuffle_records",
@@ -1376,7 +1327,6 @@ Status Engine::Checkpoint(const Dataset& ds, const std::string& dir) {
                std::to_string(ckpt_id) + "-p" + std::to_string(i) + ".spill";
   }
 
-  StageStats* stats = StatsFor(ds.get());
   trace::ScopedSpan span(&tracer_, ds->label_ + ":checkpoint", "stage");
   span.AddArg("stage", static_cast<int64_t>(ds->stage_.id));
   Stopwatch sw;
@@ -1388,11 +1338,7 @@ Status Engine::Checkpoint(const Dataset& ds, const std::string& dir) {
         SAC_ASSIGN_OR_RETURN(uint64_t bytes,
                              storage::WriteSpill(paths[i], pin.rows()));
         total_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        if (stats) {
-          stats->AddCheckpointWrite(bytes);
-        } else {
-          metrics_.AddCheckpointWrite(bytes);
-        }
+        ctx.sink.Add(Counter::kCheckpointBytes, bytes);
         return Status::OK();
       });
   if (!st.ok()) {
@@ -1418,14 +1364,12 @@ Status Engine::Checkpoint(const Dataset& ds, const std::string& dir) {
     uint64_t bytes = 0;
     SAC_ASSIGN_OR_RETURN(ValueVec rows,
                          storage::ReadSpill(paths[out], &bytes));
-    if (StageStats* s = eng->StatsFor(self)) {
-      s->AddCheckpointRestore(bytes);
-    } else {
-      eng->metrics_.AddCheckpointRestore(bytes);
-    }
+    eng->SinkFor(self).Add(Counter::kCheckpointRestoreBytes, bytes);
     return eng->PublishPartition(self, out, std::move(rows));
   };
-  if (stats) stats->AddWallMicros(sw.ElapsedMicros());
+  if (StageStats* stage = ctx.sink.stage()) {
+    stage->AddWallMicros(sw.ElapsedMicros());
+  }
   span.AddArg("checkpoint_bytes",
               static_cast<int64_t>(total_bytes.load(std::memory_order_relaxed)));
   SAC_LOG(Debug) << "checkpointed '" << ds->label_ << "' (" << n
@@ -1522,11 +1466,8 @@ Status Engine::VerifyLineage(const Dataset& ds) {
 }
 
 Status Engine::RecomputePartition(DatasetImpl* ds, int i) {
-  if (StageStats* stats = StatsFor(ds)) {
-    stats->AddRecompute();
-  } else {
-    metrics_.AddRecompute();
-  }
+  const MeterSink sink = SinkFor(ds);
+  sink.Add(Counter::kTasksRecomputed, 1);
   tracer_.Instant("recompute:" + ds->label_, "recompute", 0,
                   {{"partition", i}, {"stage", ds->stage_.id}});
   switch (ds->kind_) {
@@ -1536,13 +1477,13 @@ Status Engine::RecomputePartition(DatasetImpl* ds, int i) {
             "lost partition of non-regenerable source '" + ds->label_ + "'");
       }
       // Regeneration (and checkpoint restore) runs under the retry policy.
-      const TaskContext ctx{StatsFor(ds), 0, ds->label_, "recompute"};
+      const TaskContext ctx{sink, 0, ds->label_, "recompute"};
       return RunTaskWithRetry(
           ctx, i, [&](int part, int) { return ds->wide_fn_(this, ds, part); });
     }
     case DatasetImpl::OpKind::kNarrow: {
       DatasetImpl* parent = ds->parents_[0].get();
-      const TaskContext ctx{StatsFor(ds), 0, ds->label_, "recompute"};
+      const TaskContext ctx{sink, 0, ds->label_, "recompute"};
       return RunTaskWithRetry(
           ctx, i, [&](int part, int attempt) -> Status {
             // PinPartition recomputes the parent if it is unavailable

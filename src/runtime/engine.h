@@ -9,12 +9,10 @@
 //    bound for a partition on a *different* executor are serialized into
 //    per-destination byte buffers and deserialized on the "reduce side",
 //    so cross-executor volume costs real work and is metered exactly.
-//    Records bound for a partition on the *same* executor take a zero-copy
-//    fast path (moved as Values, volume metered via SerializedSize into
-//    local_shuffle_bytes) -- on a real cluster those records never touch
-//    the wire either. SAC_SHUFFLE_FAST_PATH=off restores the old
-//    serialize-everything path for A/B runs; both paths produce identical
-//    results and identical local+remote byte totals (DESIGN.md section 8).
+//    Records bound for a partition on the *same* executor are moved as
+//    Values (volume metered via SerializedSize into local_shuffle_bytes)
+//    -- on a real cluster those records never touch the wire either
+//    (DESIGN.md section 8).
 //  * reduceByKey performs map-side combining before the shuffle, exactly
 //    the property Section 4 of the paper relies on when preferring it over
 //    groupByKey.
@@ -272,9 +270,7 @@ class Engine {
   ThreadPool& pool() { return pool_; }
 
   /// Kernel backend resolved at construction from SAC_KERNEL_BACKEND /
-  /// config.kernel_backend (never null; see docs/KERNELS.md). The MLlib
-  /// baseline path overrides this per-query via
-  /// PlannerOptions::use_jvmlike_kernels.
+  /// config.kernel_backend (never null; see docs/KERNELS.md).
   const la::KernelBackend* kernel_backend() const { return kernel_backend_; }
 
   /// The memory manager + block store enforcing
@@ -316,7 +312,7 @@ class Engine {
   /// free and returns the live RAII ticket. Metered as queries_admitted /
   /// queries_queued on the engine Metrics plus `session` when given.
   AdmissionGate::Ticket AdmitQuery(Metrics* session = nullptr) {
-    return admission_->Admit(session);
+    return admission_->Admit(MeterSink(&metrics_, nullptr, session));
   }
 
   /// Queries holding a live admission ticket right now (includes the
@@ -324,16 +320,6 @@ class Engine {
   int live_queries() const { return admission_->live(); }
 
   // ---- Shuffle hot path ----------------------------------------------
-  /// Executor-local zero-copy routing: records whose destination partition
-  /// lives on the source partition's executor move as Values (no
-  /// serialize/deserialize); their volume is metered into
-  /// local_shuffle_bytes via Value::SerializedSize. Default on; the
-  /// SAC_SHUFFLE_FAST_PATH=off environment variable (read at engine
-  /// construction) or this setter force the old serialize-everything path
-  /// for A/B benchmarking. Do not toggle while a query is running.
-  bool shuffle_fast_path() const { return shuffle_fast_path_; }
-  void set_shuffle_fast_path(bool on) { shuffle_fast_path_ = on; }
-
   /// Pools backing the shuffle: per-destination serialization buffers and
   /// zero-copy row scratch, checked out per map-side task and returned
   /// when the stage's buckets are consumed (RAII -- error paths return
@@ -491,15 +477,17 @@ class Engine {
   Dataset NewDataset(DatasetImpl::OpKind kind, std::string label,
                      std::vector<Dataset> parents, int num_partitions);
 
-  /// Per-stage attribution of `ds`'s tasks/bytes; nullptr after a
-  /// StageRegistry::Reset() that predates the dataset (totals still
-  /// accumulate via Metrics directly in that case).
-  StageStats* StatsFor(DatasetImpl* ds) { return stages_.Get(ds->stage_); }
+  /// Where `ds`'s metering lands: the engine totals, its stage (absent
+  /// when a StageRegistry::Reset() postdates the dataset) and its session.
+  MeterSink SinkFor(const DatasetImpl* ds) {
+    return MeterSink(&metrics_, stages_.Get(ds->stage_),
+                     ds->session_ ? &ds->session_->metrics() : nullptr);
+  }
 
   /// Context threaded through ParallelParts so each partition task is
   /// attributed (metrics) and traced (span) against the right stage.
   struct TaskContext {
-    StageStats* stats = nullptr;    // stage to charge tasks/durations to
+    MeterSink sink;                 // where the tasks' counters land
     uint64_t parent_span = 0;       // stage span enclosing the tasks
     std::string label;              // stage label, prefixes task names
     const char* phase = "task";     // "task" | "shuffle-write" | ...
@@ -509,17 +497,9 @@ class Engine {
   };
   TaskContext ContextFor(DatasetImpl* ds, uint64_t parent_span,
                          const char* phase = "task") {
-    return TaskContext{StatsFor(ds), parent_span, ds->label_, phase,
+    return TaskContext{SinkFor(ds), parent_span, ds->label_, phase,
                        ds->session_ ? ds->session_->queue()
                                     : ThreadPool::kDefaultQueue};
-  }
-
-  void AddRecordsTo(StageStats* stats, uint64_t n) {
-    if (stats) {
-      stats->AddRecords(n);
-    } else {
-      metrics_.AddRecords(n);
-    }
   }
 
   /// Creates, executes and wires up a wide (shuffling) operator.
@@ -538,7 +518,7 @@ class Engine {
 
   /// Runs fn over partitions in parallel; collects the first error.
   /// Each task gets a span (parented to ctx.parent_span), charges its
-  /// duration to ctx.stats, and runs under the retry policy (see
+  /// duration to the ctx.sink stage, and runs under the retry policy (see
   /// RunTaskWithRetry) -- fn may be attempted several times.
   Status ParallelParts(const TaskContext& ctx, int n,
                        const TaskAttemptFn& fn);
@@ -547,14 +527,16 @@ class Engine {
   /// kPreRun, run fn, and on an *injected* failure (kCancelled) sleep
   /// base*2^(k-1) (capped) and try again, up to
   /// config().max_task_attempts. Retries and backoff time are metered
-  /// (AddRetry) and traced as "retry:<label>" instants; exhausting the
-  /// budget surfaces a RuntimeError naming the task. Real task errors
-  /// pass through untouched on the first attempt.
+  /// (tasks_retried, retry_wait_us) and traced as "retry:<label>"
+  /// instants; exhausting the budget surfaces a RuntimeError naming the
+  /// task. Real task errors pass through untouched on the first attempt.
+  /// ctx.sink is the thread's current MeterSink while fn runs, so kernel
+  /// counters metered inside run closures land on the task's stage.
   Status RunTaskWithRetry(const TaskContext& ctx, int part,
                           const TaskAttemptFn& fn);
 
   /// Consults the fault plan at `point` for (ctx.label, part, attempt),
-  /// metering an injected fault into ctx.stats.
+  /// metering an injected fault into ctx.sink.
   Status CheckFault(recovery::FaultPoint point, const TaskContext& ctx,
                     int part, int attempt);
 
@@ -619,19 +601,17 @@ class Engine {
   /// Mirrors the store's resident-bytes high-water mark into Metrics
   /// (called after publish/pin, the only points residency grows).
   void SyncPeakResident() {
-    metrics_.UpdatePeakResident(store_->peak_resident_bytes());
+    metrics_.Add(Counter::kPeakResidentBytes, store_->peak_resident_bytes());
   }
 
   // Map-side shuffle helper: routes `rows` of source partition src_part
   // into per-destination buckets, accounting metrics. Destinations on the
-  // same executor receive the Values themselves (zero-copy fast path,
-  // volume metered via SerializedSize into local_shuffle_bytes); remote
+  // same executor receive the Values themselves (zero-copy, volume
+  // metered via SerializedSize into local_shuffle_bytes); remote
   // destinations receive serialized bytes (metered into shuffle_bytes /
-  // cross_executor_bytes). With the fast path off, every destination is
-  // treated as remote, reproducing the old serialize-everything path
-  // bit-for-bit. For a given (src, dest) pair all rows take the same
-  // route, so reduce-side concatenation order is identical on both paths.
-  // Buckets hold pooled buffers; destroying them returns the buffers.
+  // cross_executor_bytes). For a given (src, dest) pair all rows take the
+  // same route. Buckets hold pooled buffers; destroying them returns the
+  // buffers.
   struct ShuffleBuckets {
     std::vector<PooledVec<uint8_t>> remote_by_dest;  // serialized records
     std::vector<PooledVec<Value>> local_by_dest;     // zero-copy records
@@ -672,8 +652,8 @@ class Engine {
   /// the driver-side buffer -- in distributed mode remote bucket bytes
   /// live on workers, so every cross-executor byte crosses the
   /// transport. Local (same-executor) buckets stay in driver memory.
-  Status PushShuffleBuckets(StageStats* stats, uint64_t shuffle_id, int p,
-                            int src, ShuffleBuckets* bs);
+  Status PushShuffleBuckets(const MeterSink& sink, uint64_t shuffle_id,
+                            int p, int src, ShuffleBuckets* bs);
 
   // ---- Time-series sampler (ClusterConfig::sample_interval_us) --------
   /// Starts the sampler thread when the configured interval is > 0.
@@ -690,7 +670,7 @@ class Engine {
   ClusterConfig config_;
   ThreadPool pool_;
   Metrics metrics_;
-  StageRegistry stages_{&metrics_};
+  StageRegistry stages_;
   trace::Tracer tracer_;
   VectorPool<uint8_t> byte_pool_;
   VectorPool<Value> row_pool_;
@@ -698,7 +678,6 @@ class Engine {
   // Created in the constructor after SAC_MAX_CONCURRENT is resolved.
   std::unique_ptr<AdmissionGate> admission_;
   std::atomic<uint64_t> next_session_id_{1};
-  bool shuffle_fast_path_ = true;
   const la::KernelBackend* kernel_backend_ = nullptr;
   recovery::FaultPlan fault_plan_;
   // Shared with every DatasetImpl so dataset teardown can unregister in

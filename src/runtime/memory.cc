@@ -56,8 +56,7 @@ void BlockStore::Emit(const BlockEvent& ev) {
 }
 
 Status BlockStore::Publish(const void* owner, int part, ValueVec* slot,
-                           uint64_t bytes, StageRef stage,
-                           const std::string& label,
+                           uint64_t bytes, const std::string& label,
                            MemoryManager* session) {
   std::lock_guard<std::mutex> lock(mu_);
   if (shutdown_) return Status::OK();
@@ -75,7 +74,6 @@ Status BlockStore::Publish(const void* owner, int part, ValueVec* slot,
   e.slot = slot;
   e.bytes = bytes;
   e.resident = true;
-  e.stage = stage;
   e.label = label;
   e.tick = ++tick_;
   e.session = session;
@@ -108,7 +106,7 @@ Result<PinOutcome> BlockStore::Pin(const void* owner, int part) {
     SAC_LOG(Warn) << "spill reload of " << e.label << " partition " << part
                   << " failed (" << rows.status().ToString()
                   << "); falling back to lineage recomputation";
-    BlockEvent ev{BlockEvent::Kind::kReloadRecompute, e.stage, e.label, part,
+    BlockEvent ev{BlockEvent::Kind::kReloadRecompute, owner, e.label, part,
                   e.bytes};
     storage::RemoveSpill(e.spill_path);
     spilled_bytes_.fetch_sub(e.bytes, std::memory_order_relaxed);
@@ -122,7 +120,7 @@ Result<PinOutcome> BlockStore::Pin(const void* owner, int part) {
   mgr_.Charge(e.bytes);
   if (e.session != nullptr) e.session->Charge(e.bytes);
   ++reloads_;
-  Emit(BlockEvent{BlockEvent::Kind::kReload, e.stage, e.label, part,
+  Emit(BlockEvent{BlockEvent::Kind::kReload, owner, e.label, part,
                   e.bytes});
   // The reload itself may have pushed residency over budget; make room
   // by evicting other cold blocks (this one is pinned now).
@@ -313,7 +311,7 @@ Status BlockStore::EvictLocked(const Key& k, Entry* e) {
   mgr_.Release(e->bytes);
   if (e->session != nullptr) e->session->Release(e->bytes);
   ++evictions_;
-  Emit(BlockEvent{BlockEvent::Kind::kEvict, e->stage, e->label, k.second,
+  Emit(BlockEvent{BlockEvent::Kind::kEvict, k.first, e->label, k.second,
                   e->bytes});
   return Status::OK();
 }

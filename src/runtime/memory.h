@@ -108,11 +108,12 @@ enum class PinOutcome {
 };
 
 /// One eviction/reload event, delivered to the engine's sink for
-/// metrics attribution (per-stage + totals) and trace instants.
+/// metrics attribution (stage, session, totals) and trace instants.
+/// Delivered under the store lock, so `owner` is still registered (alive).
 struct BlockEvent {
   enum class Kind { kEvict, kReload, kReloadRecompute };
   Kind kind = Kind::kEvict;
-  StageRef stage;     // owning dataset's stage (may be stale; sink checks)
+  const void* owner = nullptr;  // the publishing owner (engine: DatasetImpl)
   std::string label;  // owning dataset's label, for trace naming
   int part = -1;
   uint64_t bytes = 0;
@@ -166,7 +167,7 @@ class BlockStore {
   /// session's blocks. The manager must outlive the block (datasets hold
   /// shared_ptr<Session>, which owns the slice).
   Status Publish(const void* owner, int part, ValueVec* slot,
-                 uint64_t bytes, StageRef stage, const std::string& label,
+                 uint64_t bytes, const std::string& label,
                  MemoryManager* session = nullptr);
 
   /// Pins (owner, part) so it cannot be evicted. kResident/kReloaded:
@@ -225,7 +226,6 @@ class BlockStore {
     bool spill_valid = false;
     std::string spill_path;
     uint64_t tick = 0;       // LRU recency stamp (higher = hotter)
-    StageRef stage;
     std::string label;
     // Owning session's memory slice; charged/released in lockstep with
     // the global manager across every residency transition.

@@ -19,7 +19,7 @@ Session::Scope::Scope(std::shared_ptr<Session> session) {
 
 Session::Scope::~Scope() { TlsCurrent() = std::move(prev_); }
 
-AdmissionGate::Ticket AdmissionGate::Admit(Metrics* session) {
+AdmissionGate::Ticket AdmissionGate::Admit(const MeterSink& sink) {
   bool queued = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -29,8 +29,8 @@ AdmissionGate::Ticket AdmissionGate::Admit(Metrics* session) {
     }
     ++live_;
   }
-  if (metrics_ != nullptr) metrics_->AddQueryAdmitted(queued);
-  if (session != nullptr) session->AddQueryAdmitted(queued);
+  sink.Add(Counter::kQueriesAdmitted, 1);
+  if (queued) sink.Add(Counter::kQueriesQueued, 1);
   return Ticket(this);
 }
 

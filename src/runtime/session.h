@@ -1,8 +1,9 @@
 // Multi-tenant service primitives (docs/SERVICE.md):
 //
 //  * Session       -- the runtime half of one client session: a stable
-//    id/name, a per-session Metrics sink (fed by the StageStats dual-sink
-//    so every counter a session's datasets meter is attributed to it), a
+//    id/name, a per-session Metrics (every MeterSink built for one of the
+//    session's datasets charges it, so every counter they meter is
+//    attributed to the session), a
 //    per-session MemoryManager slice (enforced by the BlockStore on top
 //    of the global budget), and a fair-scheduled ThreadPool queue. The
 //    API-facing half (bindings, Eval surface) lives in sac::Session;
@@ -45,8 +46,8 @@ class Session {
 
   uint64_t id() const { return id_; }
   const std::string& name() const { return name_; }
-  /// Per-session counter sink; written from pool threads via the
-  /// StageStats dual-sink, so it shares Metrics' sharded thread-safety.
+  /// Per-session counters; written from pool threads through
+  /// MeterSink, so it shares Metrics' sharded thread-safety.
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
   /// Per-session resident-byte slice (0 = unlimited). The BlockStore
@@ -85,12 +86,11 @@ class Session {
 
 /// Bounded concurrent-query admission. Admit() blocks while
 /// max_concurrent tickets are live; the returned RAII ticket frees the
-/// slot. Metered against the engine-wide Metrics (and optionally a
-/// session sink passed per call).
+/// slot. Metered through the sink passed per call.
 class AdmissionGate {
  public:
-  AdmissionGate(int max_concurrent, Metrics* metrics)
-      : max_(max_concurrent < 1 ? 1 : max_concurrent), metrics_(metrics) {}
+  explicit AdmissionGate(int max_concurrent)
+      : max_(max_concurrent < 1 ? 1 : max_concurrent) {}
 
   AdmissionGate(const AdmissionGate&) = delete;
   AdmissionGate& operator=(const AdmissionGate&) = delete;
@@ -122,8 +122,8 @@ class AdmissionGate {
 
   /// Blocks until a slot is free, then returns the live ticket. Meters
   /// queries_admitted (always) and queries_queued (when it had to wait)
-  /// on the engine Metrics plus `session` when given.
-  Ticket Admit(Metrics* session = nullptr);
+  /// into `sink`.
+  Ticket Admit(const MeterSink& sink);
 
   /// Queries holding a live ticket right now.
   int live() const {
@@ -146,7 +146,6 @@ class AdmissionGate {
   std::condition_variable cv_;
   const int max_;
   int live_ = 0;
-  Metrics* metrics_;
 };
 
 }  // namespace sac::runtime

@@ -58,10 +58,10 @@ TEST(ApiTest, CompileDoesNotExecute) {
       "tiled(n,n)[ ((i,j),+/v) | ((i,k),a) <- A, ((kk,j),b) <- B,"
       " kk == k, let v = a*b, group by (i,j) ]");
   ASSERT_TRUE(q.ok());
-  EXPECT_EQ(ctx.metrics().shuffle_bytes(), 0u);  // nothing ran yet
+  EXPECT_EQ(ctx.metrics().Snapshot().shuffle_bytes, 0u);  // nothing ran yet
   auto r = q.value().run(&ctx.engine());
   ASSERT_TRUE(r.ok());
-  EXPECT_GT(ctx.metrics().shuffle_bytes(), 0u);
+  EXPECT_GT(ctx.metrics().Snapshot().shuffle_bytes, 0u);
 }
 
 TEST(ApiTest, ReferenceEvalUsesCollectedInputs) {

@@ -44,7 +44,7 @@ TEST(EngineEdgeTest, SinglePartitionSingleExecutor) {
   auto rows = eng.Collect(red.value()).value();
   ASSERT_EQ(rows.size(), 2u);
   // Single executor: no cross-executor traffic.
-  EXPECT_EQ(eng.metrics().cross_executor_bytes(), 0u);
+  EXPECT_EQ(eng.metrics().Snapshot().cross_executor_bytes, 0u);
 }
 
 TEST(EngineEdgeTest, MorePartitionsThanRows) {

@@ -89,11 +89,11 @@ TEST_F(EngineTest, ReduceByKeyShufflesLessThanGroupByKey) {
   ASSERT_TRUE(eng_.ReduceByKey(ds, [](const Value& a, const Value& b) {
                      return VDouble(a.AsDouble() + b.AsDouble());
                    }).ok());
-  const uint64_t reduce_bytes = eng_.metrics().shuffle_bytes();
+  const uint64_t reduce_bytes = eng_.metrics().Snapshot().shuffle_bytes;
 
   eng_.metrics().Reset();
   ASSERT_TRUE(eng_.GroupByKey(ds).ok());
-  const uint64_t group_bytes = eng_.metrics().shuffle_bytes();
+  const uint64_t group_bytes = eng_.metrics().Snapshot().shuffle_bytes;
 
   // Map-side combine leaves at most keys*partitions records to shuffle.
   EXPECT_LT(reduce_bytes * 10, group_bytes);
@@ -173,11 +173,11 @@ TEST_F(EngineTest, ShuffleAccountsBytes) {
   Dataset ds = eng_.Parallelize(std::move(rows), 4);
   eng_.metrics().Reset();
   ASSERT_TRUE(eng_.PartitionBy(ds).ok());
-  EXPECT_GT(eng_.metrics().shuffle_bytes(), 0u);
-  EXPECT_EQ(eng_.metrics().shuffle_records(), 50u);
-  EXPECT_GT(eng_.metrics().cross_executor_bytes(), 0u);
-  EXPECT_LE(eng_.metrics().cross_executor_bytes(),
-            eng_.metrics().shuffle_bytes());
+  EXPECT_GT(eng_.metrics().Snapshot().shuffle_bytes, 0u);
+  EXPECT_EQ(eng_.metrics().Snapshot().shuffle_records, 50u);
+  EXPECT_GT(eng_.metrics().Snapshot().cross_executor_bytes, 0u);
+  EXPECT_LE(eng_.metrics().Snapshot().cross_executor_bytes,
+            eng_.metrics().Snapshot().shuffle_bytes);
 }
 
 // ---- lineage-based fault recovery ----------------------------------------
@@ -197,7 +197,7 @@ TEST_F(EngineTest, RecoversLostNarrowPartition) {
   eng_.metrics().Reset();
   const ValueVec after = Sorted(eng_.Collect(ds).value());
   EXPECT_EQ(before, after);
-  EXPECT_GE(eng_.metrics().tasks_recomputed(), 2u);
+  EXPECT_GE(eng_.metrics().Snapshot().tasks_recomputed, 2u);
 }
 
 TEST_F(EngineTest, RecoversLostShufflePartition) {

@@ -181,7 +181,7 @@ TEST(IntegrationTest, DistributedResultsSurviveFaultInjection) {
   }
   auto after = ctx.ToLocal(c).value();
   EXPECT_TRUE(before == after);
-  EXPECT_GT(ctx.metrics().tasks_recomputed(), 0u);
+  EXPECT_GT(ctx.metrics().Snapshot().tasks_recomputed, 0u);
 }
 
 }  // namespace

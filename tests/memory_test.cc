@@ -50,7 +50,7 @@ struct Fixture {
   Status Publish(int owner, int part, int64_t salt, uint64_t bytes) {
     ValueVec& slot = slots[owner * 8 + part];
     slot = Rows(salt);
-    return store.Publish(OwnerKey(owner), part, &slot, bytes, StageRef{},
+    return store.Publish(OwnerKey(owner), part, &slot, bytes,
                          "owner" + std::to_string(owner));
   }
   const void* OwnerKey(int owner) const { return &slots[owner * 8]; }
@@ -247,7 +247,7 @@ TEST(BlockStore, ConcurrentContentionKeepsAccountingConsistent) {
         ValueVec& slot = slots[t][part];
         slot = Rows(t * 100 + part);
         ASSERT_TRUE(store
-                        .Publish(owner, part, &slot, 100, StageRef{},
+                        .Publish(owner, part, &slot, 100,
                                  "t" + std::to_string(t))
                         .ok());
         auto outcome = store.Pin(owner, part);

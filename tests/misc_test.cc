@@ -60,20 +60,19 @@ TEST(RngTest, NextBelowCoversRange) {
 
 TEST(MetricsTest, CountersAccumulateAndReset) {
   Metrics m;
-  m.AddShuffle(1024, 10, true);
-  m.AddShuffle(512, 5, false);
-  m.AddTask();
-  m.AddRecompute();
-  m.AddRecords(100);
-  EXPECT_EQ(m.shuffle_bytes(), 1536u);
-  EXPECT_EQ(m.shuffle_records(), 15u);
-  EXPECT_EQ(m.cross_executor_bytes(), 1024u);
-  EXPECT_EQ(m.tasks_run(), 1u);
-  EXPECT_EQ(m.tasks_recomputed(), 1u);
-  EXPECT_EQ(m.records_processed(), 100u);
+  m.Add(Counter::kShuffleBytes, 1024);
+  m.Add(Counter::kShuffleBytes, 512);
+  m.Add(Counter::kCrossExecutorBytes, 1024);
+  m.Add(Counter::kTasksRun, 1);
+  m.Add(Counter::kRecordsProcessed, 100);
+  EXPECT_EQ(m.Get(Counter::kShuffleBytes), 1536u);
+  EXPECT_EQ(m.Get(Counter::kCrossExecutorBytes), 1024u);
+  EXPECT_EQ(m.Get(Counter::kTasksRun), 1u);
+  EXPECT_EQ(m.Get(Counter::kRecordsProcessed), 100u);
+  EXPECT_EQ(m.Get(Counter::kTasksRecomputed), 0u);
   m.Reset();
-  EXPECT_EQ(m.shuffle_bytes(), 0u);
-  EXPECT_EQ(m.tasks_run(), 0u);
+  EXPECT_EQ(m.Get(Counter::kShuffleBytes), 0u);
+  EXPECT_EQ(m.Get(Counter::kTasksRun), 0u);
 }
 
 TEST(MetricsTest, ThreadSafeAccumulation) {
@@ -81,16 +80,16 @@ TEST(MetricsTest, ThreadSafeAccumulation) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&m] {
-      for (int i = 0; i < 1000; ++i) m.AddShuffle(1, 1, false);
+      for (int i = 0; i < 1000; ++i) m.Add(Counter::kShuffleBytes, 1);
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(m.shuffle_bytes(), 4000u);
+  EXPECT_EQ(m.Get(Counter::kShuffleBytes), 4000u);
 }
 
 TEST(MetricsTest, ToStringMentionsVolume) {
   Metrics m;
-  m.AddShuffle(2 * 1024 * 1024, 3, true);
+  m.Add(Counter::kShuffleBytes, 2 * 1024 * 1024);
   EXPECT_NE(m.ToString().find("2"), std::string::npos);
   EXPECT_NE(m.ToString().find("MB"), std::string::npos);
 }

@@ -235,7 +235,7 @@ TEST_F(ObservabilityTest, ReportStringListsStagesAndResetClears) {
 
   eng_.ResetStats();
   EXPECT_EQ(eng_.stages().size(), 0u);
-  EXPECT_EQ(eng_.metrics().tasks_run(), 0u);
+  EXPECT_EQ(eng_.metrics().Snapshot().tasks_run, 0u);
   EXPECT_EQ(eng_.tracer().size(), 0u);
 
   // Stale stage refs from before the reset don't alias fresh stages, and
@@ -244,7 +244,7 @@ TEST_F(ObservabilityTest, ReportStringListsStagesAndResetClears) {
   ASSERT_GE(fresh->stage_id(), 0);
   gen.value()->InvalidatePartition(0);
   ASSERT_TRUE(eng_.Collect(gen.value()).ok());
-  EXPECT_EQ(eng_.metrics().tasks_recomputed(), 1u);
+  EXPECT_EQ(eng_.metrics().Snapshot().tasks_recomputed, 1u);
   for (const StageStatsSnapshot& s : eng_.stages().Snapshot()) {
     EXPECT_EQ(s.counters.tasks_recomputed, 0u);
   }

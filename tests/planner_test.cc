@@ -434,7 +434,7 @@ TEST_F(PlannerTest, TilingPreservingAdditionAvoidsElementShuffle) {
   tiled_ctx.BindScalar("n", n);
   tiled_ctx.metrics().Reset();
   ASSERT_TRUE(tiled_ctx.EvalTiled(src).ok());
-  const uint64_t tiled_bytes = tiled_ctx.metrics().shuffle_bytes();
+  const uint64_t tiled_bytes = tiled_ctx.metrics().Snapshot().shuffle_bytes;
 
   planner::PlannerOptions coo;
   coo.force_coo = true;
@@ -444,7 +444,7 @@ TEST_F(PlannerTest, TilingPreservingAdditionAvoidsElementShuffle) {
   coo_ctx.BindScalar("n", n);
   coo_ctx.metrics().Reset();
   ASSERT_TRUE(coo_ctx.EvalTiled(src).ok());
-  const uint64_t coo_bytes = coo_ctx.metrics().shuffle_bytes();
+  const uint64_t coo_bytes = coo_ctx.metrics().Snapshot().shuffle_bytes;
 
   // COO shuffles per-element records (index + value); tiles shuffle far
   // fewer, larger records. The paper's Section 4-vs-5 claim.

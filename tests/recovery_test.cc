@@ -115,9 +115,9 @@ TEST(RecoveryTest, MidTaskFailureRetriesToIdenticalResult) {
     auto rows = eng.Collect(mapped.value());
     EXPECT_TRUE(rows.ok()) << rows.status().ToString();
     return std::make_tuple(Sorted(rows.value()),
-                           eng.metrics().faults_injected(),
-                           eng.metrics().tasks_retried(),
-                           eng.metrics().retry_wait_us());
+                           eng.metrics().Snapshot().faults_injected,
+                           eng.metrics().Snapshot().tasks_retried,
+                           eng.metrics().Snapshot().retry_wait_us);
   };
   auto [clean_rows, clean_faults, clean_retries, clean_wait] =
       run(recovery::FaultPlan());
@@ -143,7 +143,7 @@ TEST(RecoveryTest, ExhaustedRetriesSurfaceRuntimeError) {
   EXPECT_NE(mapped.status().message().find("failed after"),
             std::string::npos)
       << mapped.status().ToString();
-  EXPECT_EQ(eng.metrics().faults_injected(),
+  EXPECT_EQ(eng.metrics().Snapshot().faults_injected,
             static_cast<uint64_t>(eng.config().max_task_attempts));
 }
 
@@ -159,9 +159,9 @@ TEST(RecoveryTest, BackoffDelaysAreBoundedByConfig) {
       eng.Map(ds, [](const Value& v) { return v; }, "square");
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   // Three retries, each waiting at most retry_max_delay_us.
-  EXPECT_EQ(eng.metrics().tasks_retried(), 3u);
-  EXPECT_LE(eng.metrics().retry_wait_us(), 3u * 150u);
-  EXPECT_GE(eng.metrics().retry_wait_us(), 100u);
+  EXPECT_EQ(eng.metrics().Snapshot().tasks_retried, 3u);
+  EXPECT_LE(eng.metrics().Snapshot().retry_wait_us, 3u * 150u);
+  EXPECT_GE(eng.metrics().Snapshot().retry_wait_us, 100u);
 }
 
 TEST(RecoveryTest, ShuffleFaultsRecoverAcrossAllPoints) {
@@ -212,7 +212,7 @@ TEST(RecoveryTest, DeterministicReplayOfSeededProbabilisticPlan) {
     auto out = eng.Collect(red.value());
     EXPECT_TRUE(out.ok()) << out.status().ToString();
     return std::make_pair(Sorted(out.value()),
-                          eng.metrics().faults_injected());
+                          eng.metrics().Snapshot().faults_injected);
   };
   auto [rows_a, faults_a] = run();
   auto [rows_b, faults_b] = run();
@@ -236,17 +236,17 @@ TEST(RecoveryTest, CheckpointTruncatesLineageAndRestoresFromSpill) {
 
   ASSERT_TRUE(eng.Checkpoint(ds).ok());
   EXPECT_TRUE(ds->checkpointed());
-  EXPECT_GT(eng.metrics().checkpoint_bytes(), 0u);
+  EXPECT_GT(eng.metrics().Snapshot().checkpoint_bytes, 0u);
   EXPECT_TRUE(eng.VerifyLineage(ds).ok());
 
   // Recovery now reads the spill files instead of recomputing parents:
   // invalidate everything, recover, and check no map task re-ran.
-  const uint64_t recomputed_before = eng.metrics().tasks_recomputed();
+  const uint64_t recomputed_before = eng.metrics().Snapshot().tasks_recomputed;
   for (int i = 0; i < ds->num_partitions(); ++i) ds->InvalidatePartition(i);
   ASSERT_TRUE(eng.Recover(ds).ok());
   EXPECT_EQ(Sorted(eng.Collect(ds).value()), before);
-  EXPECT_GT(eng.metrics().checkpoint_restore_bytes(), 0u);
-  EXPECT_EQ(eng.metrics().tasks_recomputed(), recomputed_before + 4);
+  EXPECT_GT(eng.metrics().Snapshot().checkpoint_restore_bytes, 0u);
+  EXPECT_EQ(eng.metrics().Snapshot().tasks_recomputed, recomputed_before + 4);
 
   // Idempotent: a second checkpoint is a no-op.
   EXPECT_TRUE(eng.Checkpoint(ds).ok());
@@ -267,8 +267,8 @@ TEST(RecoveryTest, CheckpointedRecoveryUnderInjectedFaults) {
   for (int i = 0; i < ds->num_partitions(); ++i) ds->InvalidatePartition(i);
   ASSERT_TRUE(eng.Recover(ds).ok());
   EXPECT_EQ(Sorted(eng.Collect(ds).value()), before);
-  EXPECT_GE(eng.metrics().faults_injected(), 1u);
-  EXPECT_GE(eng.metrics().tasks_retried(), 1u);
+  EXPECT_GE(eng.metrics().Snapshot().faults_injected, 1u);
+  EXPECT_GE(eng.metrics().Snapshot().tasks_retried, 1u);
 }
 
 TEST(RecoveryTest, SacCheckpointByNameValidatesBinding) {
@@ -295,7 +295,7 @@ TEST(RecoveryTest, LoopAutoCheckpointBoundsLineageAndPreservesResult) {
     auto local = ctx.ToLocal(ctx.bindings().at("C").tiled);
     EXPECT_TRUE(local.ok());
     return std::make_pair(local.value(),
-                          ctx.metrics().checkpoint_bytes());
+                          ctx.metrics().Snapshot().checkpoint_bytes);
   };
   auto [plain, plain_ckpt] = run(0);
   auto [ckpt, ckpt_bytes] = run(2);

@@ -125,7 +125,8 @@ TEST(SessionTest, SessionMetricsAttribution) {
   const MetricsSnapshot busy_snap = busy->metrics().Snapshot();
   EXPECT_GT(busy_snap.tasks_run, 0u);
   EXPECT_EQ(busy_snap.queries_admitted, 1u);
-  // Engine totals cover the session's work too (dual-sink).
+  // Engine totals cover the session's work too (one MeterSink charges
+  // both).
   EXPECT_GE(ctx.metrics().Snapshot().tasks_run, busy_snap.tasks_run);
 
   const MetricsSnapshot idle_snap = idle->metrics().Snapshot();
@@ -245,14 +246,15 @@ TEST(SessionTest, PlanCacheKeySemantics) {
 
 TEST(SessionTest, AdmissionGateBlocksAtCapacity) {
   Metrics metrics;
-  AdmissionGate gate(/*max_concurrent=*/1, &metrics);
+  const MeterSink sink(&metrics, nullptr, nullptr);
+  AdmissionGate gate(/*max_concurrent=*/1);
 
-  AdmissionGate::Ticket first = gate.Admit();
+  AdmissionGate::Ticket first = gate.Admit(sink);
   EXPECT_EQ(gate.live(), 1);
 
   std::atomic<bool> second_admitted{false};
   std::thread waiter([&] {
-    AdmissionGate::Ticket t = gate.Admit();
+    AdmissionGate::Ticket t = gate.Admit(sink);
     second_admitted.store(true);
     t = AdmissionGate::Ticket();  // release
   });

@@ -1,9 +1,7 @@
-// Tests for the executor-local zero-copy shuffle fast path: result
-// equivalence against the serialize-everything path, exact byte
-// accounting (local + remote == old total), pooled-buffer hygiene on
-// success and error paths, and the ResetStats in-flight guard.
-#include <cstdlib>
-
+// Tests for the shuffle path: byte-identity of single-process against
+// distributed (loopback transport, full frame codec) execution, exact
+// byte accounting, pooled-buffer hygiene on success and error paths, and
+// the ResetStats in-flight guard.
 #include <gtest/gtest.h>
 
 #include "src/runtime/engine.h"
@@ -20,16 +18,28 @@ ValueVec MixedPairs(int n) {
   return rows;
 }
 
-/// Runs `query` on a fresh engine with the fast path forced on or off and
-/// returns the collected rows plus the engine's final counter snapshot.
+/// Single process, or 3 in-process workers behind the loopback transport
+/// (no heartbeat, so wire metering is deterministic).
+ClusterConfig PathConfig(int executors, int cores, int parallelism,
+                         bool distributed) {
+  ClusterConfig cfg{executors, cores, parallelism};
+  if (distributed) {
+    cfg.workers = "3";
+    cfg.transport = "loopback";
+    cfg.heartbeat_interval_ms = 0;
+  }
+  return cfg;
+}
+
+/// Runs `query` on a fresh engine and returns the collected rows plus the
+/// engine's final counter snapshot.
 struct RunResult {
   ValueVec rows;
   MetricsSnapshot counters;
 };
 template <typename QueryFn>
-RunResult RunWithPath(bool fast, QueryFn&& query) {
-  Engine eng(ClusterConfig{3, 2, 6});
-  eng.set_shuffle_fast_path(fast);
+RunResult RunWithPath(bool distributed, QueryFn&& query) {
+  Engine eng(PathConfig(3, 2, 6, distributed));
   Result<Dataset> out = query(&eng);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   RunResult r;
@@ -47,27 +57,28 @@ void ExpectIdenticalRows(const ValueVec& a, const ValueVec& b) {
   }
 }
 
-/// The two paths must agree byte-for-byte: same rows in the same order
-/// (reduce folds are order-sensitive), and the fast path's local + remote
-/// byte split must sum to the serialize path's single total.
+/// Both paths must agree byte-for-byte: same rows in the same order
+/// (reduce folds are order-sensitive), and the same local/remote byte
+/// split -- distribution changes where remote buckets live, never how
+/// many bytes they hold -- every remote byte of which crossed the wire.
 void CheckPathEquivalence(
     const std::function<Result<Dataset>(Engine*)>& query) {
-  RunResult fast = RunWithPath(true, query);
-  RunResult slow = RunWithPath(false, query);
-  ExpectIdenticalRows(fast.rows, slow.rows);
+  RunResult single = RunWithPath(false, query);
+  RunResult dist = RunWithPath(true, query);
+  ExpectIdenticalRows(single.rows, dist.rows);
 
-  EXPECT_EQ(slow.counters.local_shuffle_bytes, 0u);
-  EXPECT_EQ(fast.counters.shuffle_bytes + fast.counters.local_shuffle_bytes,
-            slow.counters.shuffle_bytes);
-  EXPECT_EQ(fast.counters.shuffle_records, slow.counters.shuffle_records);
-  // With the fast path on, everything still serialized is cross-executor
-  // by construction.
-  EXPECT_EQ(fast.counters.shuffle_bytes, fast.counters.cross_executor_bytes);
-  EXPECT_EQ(fast.counters.cross_executor_bytes,
-            slow.counters.cross_executor_bytes);
+  EXPECT_EQ(single.counters.local_shuffle_bytes,
+            dist.counters.local_shuffle_bytes);
+  EXPECT_EQ(single.counters.shuffle_bytes, dist.counters.shuffle_bytes);
+  EXPECT_EQ(single.counters.shuffle_records, dist.counters.shuffle_records);
+  // Everything serialized is cross-executor by construction.
+  EXPECT_EQ(single.counters.shuffle_bytes,
+            single.counters.cross_executor_bytes);
+  EXPECT_EQ(single.counters.dist_bytes_sent, 0u);
+  EXPECT_GE(dist.counters.dist_bytes_sent, dist.counters.shuffle_bytes);
   // This workload genuinely exercises both routes.
-  EXPECT_GT(fast.counters.local_shuffle_bytes, 0u);
-  EXPECT_GT(fast.counters.shuffle_bytes, 0u);
+  EXPECT_GT(single.counters.local_shuffle_bytes, 0u);
+  EXPECT_GT(single.counters.shuffle_bytes, 0u);
 }
 
 TEST(ShufflePathTest, GroupByKeyEquivalent) {
@@ -112,9 +123,8 @@ TEST(ShufflePathTest, SingleExecutorShufflesEverythingLocally) {
 }
 
 TEST(ShufflePathTest, LineageRecoveryMatchesOnBothPaths) {
-  for (bool fast : {true, false}) {
-    Engine eng(ClusterConfig{2, 2, 4});
-    eng.set_shuffle_fast_path(fast);
+  for (bool distributed : {false, true}) {
+    Engine eng(PathConfig(2, 2, 4, distributed));
     Dataset ds = eng.Parallelize(MixedPairs(200), 4);
     Result<Dataset> grouped = eng.GroupByKey(ds);
     ASSERT_TRUE(grouped.ok());
@@ -157,20 +167,6 @@ TEST(ShufflePathTest, PooledBuffersReturnedOnFailedShuffle) {
   EXPECT_EQ(eng.shuffle_buffer_pool().outstanding(), 0u);
   EXPECT_EQ(eng.row_scratch_pool().outstanding(), 0u);
   EXPECT_EQ(eng.in_flight(), 0);
-}
-
-TEST(ShufflePathTest, EnvVarDisablesFastPath) {
-  ASSERT_EQ(setenv("SAC_SHUFFLE_FAST_PATH", "off", 1), 0);
-  Engine off_eng{ClusterConfig{}};
-  EXPECT_FALSE(off_eng.shuffle_fast_path());
-
-  ASSERT_EQ(setenv("SAC_SHUFFLE_FAST_PATH", "1", 1), 0);
-  Engine on_eng{ClusterConfig{}};
-  EXPECT_TRUE(on_eng.shuffle_fast_path());
-
-  ASSERT_EQ(unsetenv("SAC_SHUFFLE_FAST_PATH"), 0);
-  Engine default_eng{ClusterConfig{}};
-  EXPECT_TRUE(default_eng.shuffle_fast_path());
 }
 
 TEST(ShufflePathTest, InFlightDropsToZeroAfterQueries) {

@@ -160,11 +160,11 @@ TEST_F(SparseTiledTest, SparseShufflesFewerBytesThanDense) {
 
   ctx_.metrics().Reset();
   ASSERT_TRUE(storage::SpMatVec(&ctx_.engine(), sparse, x).ok());
-  const uint64_t sparse_bytes = ctx_.metrics().shuffle_bytes();
+  const uint64_t sparse_bytes = ctx_.metrics().Snapshot().shuffle_bytes;
 
   ctx_.metrics().Reset();
   ASSERT_TRUE(algo::MatVec(&ctx_, dense, x).ok());
-  const uint64_t dense_bytes = ctx_.metrics().shuffle_bytes();
+  const uint64_t dense_bytes = ctx_.metrics().Snapshot().shuffle_bytes;
 
   EXPECT_LT(sparse_bytes * 2, dense_bytes);
 }

@@ -106,5 +106,20 @@ TEST(ThreadPoolTest, ParallelForSumsCorrectly) {
   EXPECT_EQ(total, 256 * 257 / 2);
 }
 
+TEST(ThreadPoolTest, ReturnedParallelForHasRetiredEveryChunk) {
+  // ParallelFor must not return while a worker still counts one of its
+  // chunks as active: in_flight() (the sampler's gauge, and what
+  // ResetStats-style quiescence checks read) is exactly zero afterwards.
+  ThreadPool pool(3);
+  const ThreadPool::QueueId q = pool.OpenQueue();
+  std::atomic<size_t> hits{0};
+  for (int round = 0; round < 1000; ++round) {
+    pool.ParallelFor(7, [&](size_t) { hits.fetch_add(1); }, /*chunk=*/0,
+                     round % 2 == 0 ? ThreadPool::kDefaultQueue : q);
+    ASSERT_EQ(pool.in_flight(), 0u) << "round " << round;
+  }
+  EXPECT_EQ(hits.load(), 7000u);
+}
+
 }  // namespace
 }  // namespace sac

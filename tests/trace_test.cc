@@ -305,8 +305,7 @@ TEST(StageRegistryTest, ReportStringGoldenLayout) {
   // Pins the report's column layout: operators grep these headers, and
   // Engine::ReportString is documented in docs/OPERATIONS.md. Update the
   // golden string AND the docs together, deliberately.
-  Metrics totals;
-  StageRegistry registry(&totals);
+  StageRegistry registry;
   const std::string report = registry.ReportString();
   const std::string expected_header =
       "stage label                    kind       tasks   records_in "
@@ -319,8 +318,10 @@ TEST(StageRegistryTest, ReportStringGoldenLayout) {
   StageRef ref = registry.NewStage("golden", "shuffle");
   StageStats* stats = registry.Get(ref);
   ASSERT_NE(stats, nullptr);
-  stats->AddTask();
-  stats->AddShuffle(2048, 4, /*cross_executor=*/true);
+  stats->Add(Counter::kTasksRun, 1);
+  stats->Add(Counter::kShuffleBytes, 2048);
+  stats->Add(Counter::kShuffleRecords, 4);
+  stats->Add(Counter::kCrossExecutorBytes, 2048);
   const std::string row = registry.ReportString().substr(
       expected_header.size());
   EXPECT_EQ(row,
@@ -332,12 +333,12 @@ TEST(StageRegistryTest, ReportStringGoldenLayout) {
 
 TEST(MetricsSnapshotTest, PlainCopyMatchesAtomics) {
   Metrics m;
-  m.AddShuffle(1024, 10, /*cross_executor=*/true);
-  m.AddShuffle(512, 5, /*cross_executor=*/false);
-  m.AddTask();
-  m.AddTask();
-  m.AddRecompute();
-  m.AddRecords(42);
+  m.Add(Counter::kShuffleBytes, 1536);
+  m.Add(Counter::kShuffleRecords, 15);
+  m.Add(Counter::kCrossExecutorBytes, 1024);
+  m.Add(Counter::kTasksRun, 2);
+  m.Add(Counter::kTasksRecomputed, 1);
+  m.Add(Counter::kRecordsProcessed, 42);
   const MetricsSnapshot s = m.Snapshot();
   EXPECT_EQ(s.shuffle_bytes, 1536u);
   EXPECT_EQ(s.shuffle_records, 15u);

@@ -339,6 +339,7 @@ struct Cluster {
   net::LoopbackTransport* transport = nullptr;  // owned by coord
   std::unique_ptr<Metrics> totals = std::make_unique<Metrics>();
   std::unique_ptr<dist::Coordinator> coord;
+  MeterSink totals_only() const { return {totals.get(), nullptr, nullptr}; }
 };
 
 Cluster MakeCluster(int n, dist::CoordinatorOptions opts) {
@@ -442,9 +443,9 @@ TEST(CoordinatorTest, PushFetchDropRoundTrip) {
 
   const dist::BucketId id{c.coord->NextShuffleId(), 0, 1, 3};
   const std::vector<uint8_t> bytes = {1, 2, 3, 4, 5};
-  ASSERT_TRUE(c.coord->PushBucket(nullptr, id, 3, bytes).ok());
+  ASSERT_TRUE(c.coord->PushBucket(c.totals_only(), id, 3, bytes).ok());
 
-  auto got = c.coord->FetchBucket(nullptr, id, 3);
+  auto got = c.coord->FetchBucket(c.totals_only(), id, 3);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.value(), bytes);
 
@@ -454,7 +455,7 @@ TEST(CoordinatorTest, PushFetchDropRoundTrip) {
   EXPECT_GT(snap.dist_bytes_received, 0u);
 
   c.coord->DropShuffle(id.shuffle_id);
-  EXPECT_EQ(c.coord->FetchBucket(nullptr, id, 3).status().code(),
+  EXPECT_EQ(c.coord->FetchBucket(c.totals_only(), id, 3).status().code(),
             StatusCode::kDataLoss);
 }
 
@@ -468,11 +469,11 @@ TEST(CoordinatorTest, PushSurvivesWorkerDeathByReplacement) {
   // Executor 1 lives on worker 1; kill it before the push.
   c.transport->SetPeerDown(1, true);
   const dist::BucketId id{1, 0, 0, 1};
-  ASSERT_TRUE(c.coord->PushBucket(nullptr, id, 1, {9, 9}).ok());
+  ASSERT_TRUE(c.coord->PushBucket(c.totals_only(), id, 1, {9, 9}).ok());
   // The retry re-placed executor 1 onto the survivor.
   EXPECT_EQ(c.coord->live_workers(), 1);
   EXPECT_EQ(c.coord->WorkerOf(1).value(), 0);
-  auto got = c.coord->FetchBucket(nullptr, id, 1);
+  auto got = c.coord->FetchBucket(c.totals_only(), id, 1);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.value(), (std::vector<uint8_t>{9, 9}));
 }
