@@ -212,15 +212,20 @@ int main(int argc, char** argv) {
   auto a = ctx.RandomMatrix(n, n, block, 301, 0.0, 10.0).value();
   auto b = ctx.RandomMatrix(n, n, block, 302, 0.0, 10.0).value();
 
-  // The assassin: the moment wire bytes start flowing (the shuffle's
-  // push phase -- SAC_WORKER_DELAY_US on the workers stretches it), the
-  // victim dies for real. kill -9: no flush, no goodbye, exactly the
-  // failure docs/FAULT_MODEL.md promises to survive.
+  // The assassin: once half of the shuffle's cross-executor bytes are
+  // on the wire (the push phase -- SAC_WORKER_DELAY_US on the workers
+  // stretches it), the victim dies for real. Halfway, every worker
+  // already holds buckets (pushes spread over all of them), so the kill
+  // loses stored data and lineage must re-execute it. kill -9: no flush,
+  // no goodbye, exactly the failure docs/FAULT_MODEL.md promises to
+  // survive.
+  const uint64_t kill_after_bytes =
+      std::max<uint64_t>(8192, baseline.row.totals.shuffle_bytes / 2);
   std::atomic<bool> killed{false};
   std::atomic<bool> stop{false};
   std::thread assassin([&] {
     for (int i = 0; i < 30000 && !stop.load(); ++i) {
-      if (eng.metrics().Snapshot().dist_bytes_sent > 8192) {
+      if (eng.metrics().Snapshot().dist_bytes_sent > kill_after_bytes) {
         ::kill(static_cast<pid_t>(victim_pid), SIGKILL);
         killed.store(true);
         std::fprintf(stderr, "chaos: killed worker %d (pid %llu)\n", victim,

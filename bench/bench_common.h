@@ -235,6 +235,13 @@ class BenchReporter {
         AppendCounterFields(&j, st.counters, /*stage_row=*/true);
         std::snprintf(buf, sizeof(buf), "%.3f", st.wall_ms);
         j += std::string(",\"wall_ms\":") + buf;
+        if (st.kind == "shuffle" || st.kind == "coshuffle") {
+          std::snprintf(buf, sizeof(buf),
+                        ",\"partition_skew\":%.3f,"
+                        "\"partition_bytes_skew\":%.3f",
+                        st.partition_skew, st.partition_bytes_skew);
+          j += buf;
+        }
         j += ",\"task_us\":{\"count\":" + std::to_string(st.task_us.count) +
              ",\"mean\":" + std::to_string(static_cast<uint64_t>(
                                 st.task_us.Mean())) +

@@ -70,6 +70,11 @@ echo "==> cost-model gate: predicted vs measured shuffle bytes (2x)"
 ./build/tools/sac_prof predcheck BENCH_fig4b.json
 ./build/tools/sac_prof predcheck BENCH_fig4c.json
 
+echo "==> partition-balance gate: skew <= 1.5 on every fig4 shuffle stage"
+./build/tools/sac_prof skewcheck BENCH_fig4a.json
+./build/tools/sac_prof skewcheck BENCH_fig4b.json
+./build/tools/sac_prof skewcheck BENCH_fig4c.json
+
 echo "==> regression gate: reports vs baselines"
 scripts/bench_diff.sh
 

@@ -42,6 +42,10 @@
 #      must still be byte-identical with workers_lost >= 1 and
 #      partitions_reexecuted > 0 (docs/DISTRIBUTED.md); workers are
 #      torn down via trap even when the gate fails
+#   8f. partition balance: sac_prof skewcheck holds partition_skew
+#      (max / mean records per destination partition) to <= 1.5 on
+#      every shuffle stage of fresh fig4a/b/c reports (fig4b at small
+#      scale: tiny's 3x3 grid cannot spread 9 keys over 8 partitions)
 #   9. bench regression gate: scripts/bench_diff.sh (committed
 #      BENCH_*.json vs BENCH_*.baseline.json via sac_prof diff)
 #  10. docs: scripts/check_docs_links.sh (no *.md relative link may point
@@ -211,6 +215,17 @@ EOF
   ./build/tools/sac_prof predcheck build/BENCH_fig4b.pred-smoke.json
   # fig4c was already run at tiny scale by the profiler stage above.
   ./build/tools/sac_prof predcheck build/BENCH_fig4c.prof-smoke.json
+
+  echo "==> partition balance: skew <= 1.5 on every fig4 shuffle stage"
+  # Tiny-scale fig4b includes n=192, a 3x3 tile grid: 9 keys over 8
+  # partitions cannot get under 1.78, so fig4b is re-run at small scale.
+  SAC_BENCH_SCALE=small SAC_BENCH_REPS=1 \
+    ./build/bench/bench_fig4b_multiply \
+    --out build/BENCH_fig4b.skew-smoke.json
+  for report in build/BENCH_fig4a.pred-smoke.json \
+      build/BENCH_fig4b.skew-smoke.json build/BENCH_fig4c.prof-smoke.json; do
+    ./build/tools/sac_prof skewcheck "$report"
+  done
 
   echo "==> bench regression gate: committed reports vs baselines"
   scripts/bench_diff.sh

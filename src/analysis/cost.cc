@@ -5,6 +5,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "src/planner/planner.h"
+
 namespace sac::analysis {
 
 using planner::PlanNode;
@@ -18,17 +20,14 @@ bool IsNarrow(const PlanNode::Op op) {
 }
 
 /// Bytes one shuffle input contributes to the wire. ReduceByKey combines
-/// map-side: each occupied source partition emits at most one record per
-/// distinct key, and a single-executor-concentrated input occupies one
-/// partition -- which is why the measured reduceByKey stages of the fig4b
-/// 5.3 plan move g^2 tiles, not the g^3 partial products feeding them.
+/// map-side: each source partition emits at most one record per distinct
+/// key. (The 5.3 plan's partial products are spread over the join's
+/// partitions by their shared-dimension key, so each partition holds
+/// every output key and little combines: the reduce moves ~g^3 tiles.)
 double MovedBytes(const PlanNode& n, const SymbolicShape& in) {
   if (!in.known) return in.total_bytes();
   if (n.op == PlanNode::Op::kReduceByKey && in.distinct_keys > 0) {
-    const double occupied =
-        in.spread == SymbolicShape::Spread::kSingleExecutor
-            ? 1.0
-            : static_cast<double>(std::max(in.num_partitions, 1));
+    const double occupied = static_cast<double>(std::max(in.num_partitions, 1));
     const double records = std::min(in.records, in.distinct_keys * occupied);
     return records * in.bytes_per_record;
   }
@@ -48,21 +47,36 @@ std::string NodeName(const PlanNode& n) {
   return s;
 }
 
-/// Builds the 5.3 join + reduceByKey symbolic plan over two tiled sources.
+/// Tiled matrix bound to `name` (IsTiledSource holds).
+const storage::TiledMatrix& TiledOf(const PlanGraph& g,
+                                    const std::string& name) {
+  return g.binds->at(name).tiled;
+}
+
+/// Builds the 5.3 join + reduceByKey symbolic plan over two tiled sources,
+/// placed and sized like the planner's cost-based plan (join by shared-
+/// dimension block, reduce by output tile).
 PlanGraph SynthesizeReduceByKeyPlan(const std::string& src_a,
                                     const std::string& src_b,
                                     const PlanGraph& g) {
+  const storage::TiledMatrix& a = TiledOf(g, src_a);
+  const storage::TiledMatrix& b = TiledOf(g, src_b);
   planner::PlanBuilder pb;
   PlanNodePtr sa = pb.Source(src_a, 2);
   PlanNodePtr ka = pb.Narrow(PlanNode::Op::kMap, "keyByJoinDim", sa, 1);
   PlanNodePtr sb = pb.Source(src_b, 2);
   PlanNodePtr kb = pb.Narrow(PlanNode::Op::kMap, "keyByJoinDim", sb, 1);
-  PlanNodePtr joined =
-      pb.Shuffle(PlanNode::Op::kJoin, "joinTiles", {ka, kb}, 1);
+  PlanNodePtr joined = pb.Shuffle(
+      PlanNode::Op::kJoin, "joinTiles", {ka, kb}, 1,
+      planner::GridShufflePartitions(a.grid_cols(), g.default_parallelism),
+      runtime::Partitioner::Grid({a.grid_cols()}));
   PlanNodePtr partials =
       pb.Narrow(PlanNode::Op::kMap, "partialProducts", joined, 2);
-  PlanNodePtr reduced = pb.Shuffle(PlanNode::Op::kReduceByKey, "reduceTiles",
-                                   {partials}, 2);
+  PlanNodePtr reduced = pb.Shuffle(
+      PlanNode::Op::kReduceByKey, "reduceTiles", {partials}, 2,
+      planner::GridShufflePartitions(a.grid_rows() * b.grid_cols(),
+                                     g.default_parallelism),
+      runtime::Partitioner::Grid({a.grid_rows(), b.grid_cols()}));
   PlanNodePtr root = pb.Narrow(PlanNode::Op::kMap, "finalize", reduced, 2,
                                /*preserves_partitioning=*/true);
   PlanGraph out = g;
@@ -75,13 +89,18 @@ PlanGraph SynthesizeReduceByKeyPlan(const std::string& src_a,
 PlanGraph SynthesizeGroupByJoinPlan(const std::string& src_a,
                                     const std::string& src_b,
                                     const PlanGraph& g) {
+  const storage::TiledMatrix& a = TiledOf(g, src_a);
+  const storage::TiledMatrix& b = TiledOf(g, src_b);
   planner::PlanBuilder pb;
   PlanNodePtr sa = pb.Source(src_a, 2);
   PlanNodePtr sb = pb.Source(src_b, 2);
   PlanNodePtr ra = pb.Narrow(PlanNode::Op::kFlatMap, "replicateA", sa, 2);
   PlanNodePtr rb = pb.Narrow(PlanNode::Op::kFlatMap, "replicateB", sb, 2);
-  PlanNodePtr cg =
-      pb.Shuffle(PlanNode::Op::kCoGroup, "cogroupPanels", {ra, rb}, 2);
+  PlanNodePtr cg = pb.Shuffle(
+      PlanNode::Op::kCoGroup, "cogroupPanels", {ra, rb}, 2,
+      planner::GridShufflePartitions(a.grid_rows() * b.grid_cols(),
+                                     g.default_parallelism),
+      runtime::Partitioner::Grid({a.grid_rows(), b.grid_cols()}));
   PlanNodePtr root = pb.Narrow(PlanNode::Op::kFlatMap, "summaMultiply", cg, 2,
                                /*preserves_partitioning=*/true);
   PlanGraph out = g;
@@ -154,14 +173,14 @@ CostEstimate EstimateCost(const PlanGraph& g, const CostModel& model) {
         const auto iit = shapes.find(in.get());
         if (iit == shapes.end()) continue;
         const SymbolicShape& is = iit->second;
-        const double moved = MovedBytes(n, is);
-        c.shuffle_bytes += moved;
-        if (is.spread == SymbolicShape::Spread::kUniform) {
-          c.cross_bytes += moved * static_cast<double>(executors - 1) /
-                           static_cast<double>(executors);
-        }
+        c.shuffle_bytes += MovedBytes(n, is);
         map_tasks += is.num_partitions;
       }
+      // Sources lie round-robin and every shuffle places its keys evenly,
+      // so rows are spread uniformly over the executors and (E-1)/E of
+      // the moved bytes cross executors.
+      c.cross_bytes = c.shuffle_bytes * static_cast<double>(executors - 1) /
+                      static_cast<double>(executors);
       c.local_bytes = c.shuffle_bytes - c.cross_bytes;
       c.tasks = map_tasks + s.num_partitions;
       if (const char* lbl = EngineShuffleLabel(n.op)) {
@@ -206,14 +225,8 @@ MultiplyAdvice AdviseMultiply(const PlanGraph& g, const CostModel& model) {
     }
   }
   if (wide == nullptr) return adv;
-  const PlanNode* src_a = wide->inputs[0].get();
-  const PlanNode* src_b = wide->inputs[1].get();
-  while (src_a != nullptr && src_a->op != PlanNode::Op::kSource) {
-    src_a = src_a->inputs.empty() ? nullptr : src_a->inputs[0].get();
-  }
-  while (src_b != nullptr && src_b->op != PlanNode::Op::kSource) {
-    src_b = src_b->inputs.empty() ? nullptr : src_b->inputs[0].get();
-  }
+  const PlanNode* src_a = SourceBelow(wide->inputs[0].get());
+  const PlanNode* src_b = SourceBelow(wide->inputs[1].get());
   if (src_a == nullptr || src_b == nullptr) return adv;
   // Both operands must be tiled matrices with known extents (the GBJ
   // translation does not apply to matrix-vector products).

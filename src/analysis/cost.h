@@ -24,13 +24,15 @@
 namespace sac::analysis {
 
 /// Linear-model constants: est_ms = cross*a + local*b + tasks*c + flops*d
-/// (unit conversions inside). Defaults were fitted with
-/// `sac_lint --calibrate BENCH_fig4a.baseline.json BENCH_fig4b.baseline.json`
-/// against the exact byte/task counters of the committed reports.
+/// (unit conversions inside). Defaults were fitted with `sac_lint
+/// --calibrate` over the per-stage counters and wall times of small-scale
+/// fig4a/fig4b reports (docs/COST_MODEL.md section 4).
 struct CostModel {
-  double ns_per_cross_byte = 1.2;   // serialize + route + deserialize
-  double ns_per_local_byte = 0.35;  // serialize + same-executor handoff
-  double us_per_task = 18.0;        // scheduling + dispatch overhead
+  double ns_per_cross_byte = 0.46;  // serialize + route + deserialize
+  // Same-executor records move as Values sharing their tile payload: no
+  // per-byte cost the fit can see (their per-record work is in tasks).
+  double ns_per_local_byte = 0.0;
+  double us_per_task = 110.0;       // scheduling + dispatch overhead
   double ns_per_flop = 0.15;        // generic blocked tile kernels
   /// Per-backend flop rates (docs/KERNELS.md): the packed microkernel
   /// retires register-tiled FMAs, the jvmlike baseline pays a virtual

@@ -171,9 +171,10 @@ class RedundantShuffleRule : public LintRule {
            "partitioning and key; the repartition moves no row";
   }
   void Run(const PlanGraph& g, std::vector<Diagnostic>* out) const override {
-    // Compare *resolved* partition counts: `-1` means the engine default,
+    // Compare *resolved* partitionings: `-1` means the engine default,
     // so hash(8) -> hash(default) is redundant when the default is 8, and
-    // hash(8) -> hash(16) is a real repartition, never flagged.
+    // hash(8) -> hash(16) or grid -> hash is a real repartition, never
+    // flagged.
     const int default_np =
         g.default_parallelism > 0 ? g.default_parallelism : 8;
     for (const PlanNodePtr& n : g.nodes) {
@@ -190,7 +191,7 @@ class RedundantShuffleRule : public LintRule {
       if (!all_match) continue;
       out->push_back(Warning(
           code(),
-          NodeDesc(*n) + " re-shuffles data already hash-partitioned on "
+          NodeDesc(*n) + " re-shuffles data already partitioned on "
                          "the same key (" +
               n->partitioning.ToString() +
               "); the producer's partitioning is preserved",
@@ -445,6 +446,11 @@ class PartitionSizingRule : public LintRule {
       const SymbolicShape& s = sit->second;
       if (s.records <= 0 || s.num_partitions <= 0) continue;
       const double np = s.num_partitions;
+      // A key never splits across partitions: only a shuffle with enough
+      // distinct keys could use more of them.
+      const double keys = s.distinct_keys > 0
+                              ? std::min(s.records, s.distinct_keys)
+                              : s.records;
       if (np > 4.0 * s.records) {
         const int64_t empty =
             static_cast<int64_t>(np - std::min(s.records, np));
@@ -459,7 +465,7 @@ class PartitionSizingRule : public LintRule {
                 "-- size num_partitions near the record count (or enable "
                 "auto_strategy)",
             SpanOf(*n)));
-      } else if (np < cores && s.records >= 2.0 * cores) {
+      } else if (np < cores && keys >= 2.0 * cores) {
         out->push_back(Warning(
             code(),
             NodeDesc(*n) + " squeezes an estimated " +

@@ -81,16 +81,6 @@ const SymbolicShape& InputShape(const ShapeMap& m, const PlanNodePtr& in) {
   return it != m.end() ? it->second : kTop;
 }
 
-/// Walks through narrow nodes to the source underneath (used to size the
-/// group-by-join replication, whose factor depends on the *sibling*
-/// operand's grid).
-const PlanNode* SourceBelow(const PlanNode* n) {
-  while (n != nullptr && n->op != PlanNode::Op::kSource) {
-    n = n->inputs.empty() ? nullptr : n->inputs[0].get();
-  }
-  return n;
-}
-
 SymbolicShape NarrowShape(const PlanNode& n, const SymbolicShape& in) {
   SymbolicShape s = in;
   s.flops = 0;
@@ -99,6 +89,7 @@ SymbolicShape NarrowShape(const PlanNode& n, const SymbolicShape& in) {
     // One partial output tile per joined pair; the multiply work of the
     // 5.3 plan happens here: 2*b^3 flops per pair.
     s.bytes_per_record = TileBytes(in.block);
+    s.distinct_keys = static_cast<double>(in.grid_rows * in.grid_cols);
     s.flops = in.known ? in.records * 2.0 * std::pow(
                                                 static_cast<double>(in.block),
                                                 3.0)
@@ -137,13 +128,19 @@ SymbolicShape NarrowShape(const PlanNode& n, const SymbolicShape& in) {
 
 void ShuffleDefaults(const PlanNode& n, const SymbolicShape& in,
                      SymbolicShape* s) {
-  s->spread = SymbolicShape::Spread::kSingleExecutor;
   s->num_partitions = n.partitioning.num_partitions > 0
                           ? n.partitioning.num_partitions
                           : in.num_partitions;
 }
 
 }  // namespace
+
+const PlanNode* SourceBelow(const PlanNode* n) {
+  while (n != nullptr && n->op != PlanNode::Op::kSource) {
+    n = n->inputs.empty() ? nullptr : n->inputs[0].get();
+  }
+  return n;
+}
 
 ShapeMap InferShapes(const PlanGraph& g) {
   ShapeMap out;
@@ -171,10 +168,6 @@ ShapeMap InferShapes(const PlanGraph& g) {
         s.records = a.records + b.records;
         s.bytes_per_record = std::max(a.bytes_per_record, b.bytes_per_record);
         s.num_partitions = a.num_partitions + b.num_partitions;
-        s.spread = (a.spread == SymbolicShape::Spread::kUniform ||
-                    b.spread == SymbolicShape::Spread::kUniform)
-                       ? SymbolicShape::Spread::kUniform
-                       : SymbolicShape::Spread::kSingleExecutor;
         if (s.known && a.block == b.block && a.grid_cols == b.grid_cols) {
           s.block = a.block;
           s.grid_rows = a.grid_rows + b.grid_rows;
@@ -196,16 +189,17 @@ ShapeMap InferShapes(const PlanGraph& g) {
         s.block = std::max(a.block, b.block);
         if (n.label == "joinTiles" && s.known) {
           // 5.3 matmul join on the shared index: |A| * |B| / shared-dim
-          // matches (g^3 for square grids); output keyed by the output
-          // coordinate space (A-rows x B-cols panels).
+          // matches (g^3 for square grids), keyed by the shared-dim
+          // block. The grid is the output coordinate space (A-rows x
+          // B-cols) partialProducts re-keys the pairs to.
           const double shared = std::max(
               1.0, static_cast<double>(std::min(
                        a.grid_cols > 0 ? a.grid_cols : a.grid_rows,
                        b.grid_rows > 0 ? b.grid_rows : a.grid_cols)));
           s.records = a.records * b.records / shared;
-          s.distinct_keys = static_cast<double>(a.grid_rows) *
-                            static_cast<double>(
-                                b.grid_cols > 1 ? b.grid_cols : 1);
+          s.distinct_keys = shared;
+          s.grid_rows = a.grid_rows;
+          s.grid_cols = b.grid_cols > 1 ? b.grid_cols : 1;
         } else {
           // Co-partitioned zip joins (5.1): 1:1 matches.
           s.records = std::min(a.records, b.records);

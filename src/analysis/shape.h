@@ -43,17 +43,6 @@ struct SymbolicShape {
   /// node does not pin one).
   int num_partitions = 0;
 
-  /// How the rows are spread over executors. The engine places partition
-  /// p on executor p % E, and the value hasher sends small-integer (and
-  /// small-integer-tuple) keys overwhelmingly to one partition -- so the
-  /// output of any hash shuffle on tile coordinates is effectively
-  /// resident on a single executor, and a chained shuffle from it moves
-  /// bytes locally, not across executors. Sources parallelize round-robin
-  /// and stay uniform. This two-state domain is what makes the
-  /// local/cross split of the PR3 accounting model predictable.
-  enum class Spread { kUniform, kSingleExecutor };
-  Spread spread = Spread::kUniform;
-
   [[nodiscard]] double total_bytes() const { return records * bytes_per_record; }
 };
 
@@ -64,6 +53,12 @@ using ShapeMap = std::unordered_map<const planner::PlanNode*, SymbolicShape>;
 /// byte counters of the committed BENCH reports (45..59 B depending on
 /// the key structure).
 inline constexpr double kRecordOverheadBytes = 48.0;
+
+/// Walks through single-input nodes to the source underneath, or nullptr
+/// (sizes the group-by-join replication, whose factor depends on the
+/// *sibling* operand's grid, and locates multiply operands).
+[[nodiscard]] const planner::PlanNode* SourceBelow(
+    const planner::PlanNode* n);
 
 /// Runs the abstract interpretation over every node of `g` (creation
 /// order is topological). Without bindings every shape is top.

@@ -1,5 +1,6 @@
 #include "src/baseline/block_matrix.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -9,6 +10,7 @@
 namespace sac::baseline {
 
 using runtime::Dataset;
+using runtime::Partitioner;
 using runtime::Value;
 using runtime::ValueVec;
 using runtime::VInt;
@@ -26,6 +28,16 @@ Status CheckSameLayout(const BlockMatrix& a, const BlockMatrix& b) {
   return Status::OK();
 }
 
+/// Cogroups two block-keyed datasets the way MLlib's GridPartitioner
+/// places them: by grid coordinates over a gr x gc grid, in the inputs'
+/// partition count but never more partitions than blocks.
+Result<Dataset> GridCoGroup(Engine* eng, const Dataset& a,
+                            const Dataset& b, int64_t gr, int64_t gc) {
+  const int64_t np = std::min<int64_t>(
+      gr * gc, std::max(a->num_partitions(), b->num_partitions()));
+  return eng->CoGroup(a, b, static_cast<int>(np), Partitioner::Grid({gr, gc}));
+}
+
 }  // namespace
 
 Result<BlockMatrix> BlockMatrix::Add(Engine* eng,
@@ -38,7 +50,10 @@ Result<BlockMatrix> BlockMatrix::Axpby(Engine* eng, double alpha, double beta,
   SAC_RETURN_NOT_OK(CheckSameLayout(*this, other));
   // MLlib's add cogroups the two block RDDs (a full shuffle of both) and
   // adds per key; a block missing on one side counts as zeros.
-  SAC_ASSIGN_OR_RETURN(Dataset cg, eng->CoGroup(blocks_, other.blocks_));
+  SAC_ASSIGN_OR_RETURN(
+      Dataset cg,
+      GridCoGroup(eng, blocks_, other.blocks_, storage::CeilDiv(rows_, block_),
+                  storage::CeilDiv(cols_, block_)));
   const int64_t rows = rows_, cols = cols_, block = block_;
   SAC_ASSIGN_OR_RETURN(
       Dataset out,
@@ -104,7 +119,9 @@ Result<BlockMatrix> BlockMatrix::Multiply(Engine* eng,
             }
           },
           "mllibReplicateB"));
-  SAC_ASSIGN_OR_RETURN(Dataset cg, eng->CoGroup(as, bs));
+  SAC_ASSIGN_OR_RETURN(
+      Dataset cg,
+      GridCoGroup(eng, as, bs, out_gr, out_gc));
   SAC_ASSIGN_OR_RETURN(
       Dataset out,
       eng->FlatMap(

@@ -189,6 +189,32 @@ std::string StageStatsSnapshot::ToString() const {
   return os.str();
 }
 
+namespace {
+/// max / mean of `v`; 0 when empty or all zero.
+double Skew(const std::vector<uint64_t>& v) {
+  uint64_t sum = 0, max = 0;
+  for (const uint64_t x : v) {
+    sum += x;
+    max = std::max(max, x);
+  }
+  return sum == 0 ? 0.0
+                  : static_cast<double>(max) * static_cast<double>(v.size()) /
+                        static_cast<double>(sum);
+}
+}  // namespace
+
+void StageStats::AddPartitionCounts(const std::vector<uint64_t>& records,
+                                    const std::vector<uint64_t>& bytes) {
+  std::lock_guard<std::mutex> lock(partition_mu_);
+  partition_records_.resize(std::max(partition_records_.size(),
+                                     records.size()));
+  partition_bytes_.resize(std::max(partition_bytes_.size(), bytes.size()));
+  for (size_t d = 0; d < records.size(); ++d) {
+    partition_records_[d] += records[d];
+  }
+  for (size_t d = 0; d < bytes.size(); ++d) partition_bytes_[d] += bytes[d];
+}
+
 StageStatsSnapshot StageStats::Snapshot() const {
   StageStatsSnapshot s;
   s.id = id_;
@@ -197,6 +223,9 @@ StageStatsSnapshot StageStats::Snapshot() const {
   s.counters = local_.Snapshot();
   s.wall_ms = wall_us_.load(std::memory_order_relaxed) / 1000.0;
   s.task_us = task_us_.Snapshot();
+  std::lock_guard<std::mutex> lock(partition_mu_);
+  s.partition_skew = Skew(partition_records_);
+  s.partition_bytes_skew = Skew(partition_bytes_);
   return s;
 }
 
@@ -242,18 +271,19 @@ std::string StageRegistry::ReportString() const {
   char line[512];
   std::snprintf(line, sizeof(line),
                 "%-5s %-24s %-9s %6s %12s %12s %10s %10s %7s %7s %6s %10s "
-                "%8s %8s %9s %10s %10s %6s %9s %12s\n",
+                "%8s %8s %9s %10s %10s %6s %9s %12s %5s %5s\n",
                 "stage", "label", "kind", "tasks", "records_in",
                 "shuffle_KB", "cross_KB", "local_KB", "recomp", "retries",
                 "faults", "backoff_ms", "ckpt_KB", "evict_KB", "reload_KB",
                 "dist_tx_KB", "dist_rx_KB", "reexec", "wall_ms",
-                "task_p95_us");
+                "task_p95_us", "skew", "bskew");
   os << line;
   for (const StageStatsSnapshot& s : stages) {
     std::snprintf(
         line, sizeof(line),
         "%-5d %-24s %-9s %6llu %12llu %12.1f %10.1f %10.1f %7llu %7llu "
-        "%6llu %10.1f %8.1f %8.1f %9.1f %10.1f %10.1f %6llu %9.2f %12llu\n",
+        "%6llu %10.1f %8.1f %8.1f %9.1f %10.1f %10.1f %6llu %9.2f %12llu "
+        "%5.2f %5.2f\n",
         s.id, s.label.substr(0, 24).c_str(), s.kind.c_str(),
         static_cast<unsigned long long>(s.counters.tasks_run),
         static_cast<unsigned long long>(s.counters.records_processed),
@@ -272,7 +302,8 @@ std::string StageRegistry::ReportString() const {
         s.counters.dist_bytes_received / 1024.0,
         static_cast<unsigned long long>(s.counters.partitions_reexecuted),
         s.wall_ms,
-        static_cast<unsigned long long>(s.task_us.Percentile(0.95)));
+        static_cast<unsigned long long>(s.task_us.Percentile(0.95)),
+        s.partition_skew, s.partition_bytes_skew);
     os << line;
   }
   return os.str();

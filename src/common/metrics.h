@@ -140,6 +140,10 @@ struct StageStatsSnapshot {  // copyable view of one StageStats
   MetricsSnapshot counters;
   double wall_ms = 0;
   trace::HistogramSnapshot task_us;  // per-task duration histogram
+  // Shuffle stages only (0 elsewhere): max / mean over destination
+  // partitions of the records (bytes) the shuffle routed to each.
+  double partition_skew = 0;
+  double partition_bytes_skew = 0;
 
   std::string ToString() const;
 };
@@ -163,6 +167,9 @@ class StageStats {
   void AddWallMicros(uint64_t us) {
     wall_us_.fetch_add(us, std::memory_order_relaxed);
   }
+  /// Adds one shuffle run's per-destination record and byte counts.
+  void AddPartitionCounts(const std::vector<uint64_t>& records,
+                          const std::vector<uint64_t>& bytes);
   StageStatsSnapshot Snapshot() const;
 
  private:
@@ -172,6 +179,9 @@ class StageStats {
   Metrics local_;
   trace::Histogram task_us_;
   std::atomic<uint64_t> wall_us_{0};
+  mutable std::mutex partition_mu_;
+  std::vector<uint64_t> partition_records_;  // per destination partition
+  std::vector<uint64_t> partition_bytes_;
 };
 
 /// Where metering lands: Add() charges the totals once, plus the stage

@@ -210,6 +210,10 @@ Profile BuildProfile(ProfileInputs in) {
       if (ss.label != agg.sp.name) continue;
       agg.sp.counters.Accumulate(ss.counters);
       agg.sp.has_counters = true;
+      agg.sp.partition_skew =
+          std::max(agg.sp.partition_skew, ss.partition_skew);
+      agg.sp.partition_bytes_skew =
+          std::max(agg.sp.partition_bytes_skew, ss.partition_bytes_skew);
     }
   }
 
@@ -293,6 +297,12 @@ std::string Profile::ToJson() const {
       out += ",\"counters\":{";
       AppendCounterFields(&out, s.counters, /*stage_row=*/true);
       out += "}";
+    }
+    if (s.partition_skew > 0) {
+      out += ",\"partition_skew\":";
+      AppendF(&out, s.partition_skew);
+      out += ",\"partition_bytes_skew\":";
+      AppendF(&out, s.partition_bytes_skew);
     }
     out += ",\"phases\":[";
     for (size_t j = 0; j < s.phases.size(); ++j) {
@@ -379,6 +389,8 @@ Result<Profile> ParseProfile(const std::string& json_text) {
       s.has_counters = true;
       parse_counters(sv.At("counters"), &s.counters);
     }
+    s.partition_skew = sv.GetNum("partition_skew");
+    s.partition_bytes_skew = sv.GetNum("partition_bytes_skew");
     for (const json::Value& pv : sv.At("phases").array) {
       PhaseProfile ph;
       ph.phase = pv.GetStr("phase");

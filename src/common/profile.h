@@ -69,6 +69,10 @@ struct StageProfile {
   uint64_t longest_task_us = 0;
   bool has_counters = false;  // joined from the StageRegistry by label
   MetricsSnapshot counters;
+  // Worst partition balance among the joined shuffle stages (max / mean
+  // records and bytes per destination partition); 0 = not a shuffle.
+  double partition_skew = 0;
+  double partition_bytes_skew = 0;
   std::vector<PhaseProfile> phases;  // by task_time_us desc
 };
 

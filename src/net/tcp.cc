@@ -124,16 +124,17 @@ Status TcpServer::Start(int port) {
     listen_fd_ = -1;
     return st;
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  const int listen_fd = listen_fd_;
+  accept_thread_ = std::thread([this, listen_fd] { AcceptLoop(listen_fd); });
   return Status::OK();
 }
 
-void TcpServer::AcceptLoop() {
+void TcpServer::AcceptLoop(int listen_fd) {
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      // Listener closed by Stop() (or a real error; either way, done).
+      // Listener shut down by Stop() (or a real error; either way, done).
       break;
     }
     std::lock_guard<std::mutex> lock(mu_);
@@ -175,12 +176,15 @@ void TcpServer::Stop() {
     // out from under this shutdown sweep).
     for (int fd : conns_) ::shutdown(fd, SHUT_RDWR);
   }
+  // Shutdown wakes the blocked accept(); the fd is closed only after the
+  // accept thread exits, so its number cannot be reused under a running
+  // accept(), and listen_fd_ is written by no thread but this one.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mu_);

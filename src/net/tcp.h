@@ -47,7 +47,9 @@ class TcpServer {
   void Stop();
 
  private:
-  void AcceptLoop();
+  /// Accepts on `listen_fd` (the fd Start bound, passed by value so the
+  /// loop never reads listen_fd_) until Stop shuts it down.
+  void AcceptLoop(int listen_fd);
   void Serve(int fd);
 
   Handler handler_;

@@ -25,9 +25,10 @@ const char* PlanOpName(PlanNode::Op op) {
 
 std::string Partitioning::ToString() const {
   if (kind == Kind::kNone) return "none";
-  std::string s = "hash(";
-  s += num_partitions < 0 ? "default" : std::to_string(num_partitions);
-  return s + ")";
+  const std::string np =
+      num_partitions < 0 ? "default" : std::to_string(num_partitions);
+  if (placement.is_grid()) return placement.ToString() + "/" + np;
+  return "hash(" + np + ")";
 }
 
 std::string PlanNode::ToString() const {
@@ -107,13 +108,15 @@ PlanNodePtr PlanBuilder::Narrow(PlanNode::Op op, std::string label,
 
 PlanNodePtr PlanBuilder::Shuffle(PlanNode::Op op, std::string label,
                                  std::vector<PlanNodePtr> ins, int key_arity,
-                                 int num_partitions) {
+                                 int num_partitions,
+                                 runtime::Partitioner placement) {
   auto n = std::make_shared<PlanNode>();
   n->op = op;
   n->label = std::move(label);
   n->key_arity = key_arity;
   n->inputs = std::move(ins);
-  n->partitioning = Partitioning{Partitioning::Kind::kHashKey, num_partitions};
+  n->partitioning = Partitioning{Partitioning::Kind::kHashKey, num_partitions,
+                                 std::move(placement)};
   return Add(std::move(n));
 }
 

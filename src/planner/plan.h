@@ -135,26 +135,34 @@ struct PlannerOptions {
 // (SAC-W02/W04), and VerifyPlan() checks the structural invariants.
 
 /// How a plan node's output is distributed over partitions. `kHashKey`
-/// means rows live on partition `hash(key) % num_partitions` -- the
-/// engine's only shuffle placement, so two hash-partitioned nodes with the
-/// same partition count and an unchanged key are co-partitioned.
+/// means rows are placed by key with `placement`, the runtime::Partitioner
+/// the shuffle runs with: a coordinate key inside its grid extents lives
+/// on partition `row-major index % num_partitions`, any other key on
+/// `hash(key) % num_partitions`. Two nodes with an unchanged key
+/// are co-partitioned only when placement and partition count agree.
 struct Partitioning {
   enum class Kind { kNone, kHashKey };
   Kind kind = Kind::kNone;
   int num_partitions = -1;  // -1 = engine default parallelism
+  runtime::Partitioner placement;  // grid extents, when the planner knows
 
   bool Matches(const Partitioning& other) const {
     return kind == Kind::kHashKey && other.kind == Kind::kHashKey &&
+           placement == other.placement &&
            num_partitions == other.num_partitions;
   }
   /// Matches() with `-1` on either side resolved to the engine default
   /// parallelism first, so `hash(8)` and `hash(default)` compare equal
   /// when the engine would create 8 partitions for both. This is the
   /// comparison the redundant-shuffle lint (SAC-W03) wants: two
-  /// partitionings with different *resolved* counts place rows
-  /// differently and the repartition is real, not redundant.
+  /// partitionings with different placements or *resolved* counts put
+  /// rows in different partitions and the repartition is real, not
+  /// redundant.
   bool MatchesResolved(const Partitioning& other, int default_np) const {
-    if (kind != Kind::kHashKey || other.kind != Kind::kHashKey) return false;
+    if (kind != Kind::kHashKey || other.kind != Kind::kHashKey ||
+        placement != other.placement) {
+      return false;
+    }
     const int a = num_partitions > 0 ? num_partitions : default_np;
     const int b = other.num_partitions > 0 ? other.num_partitions : default_np;
     return a == b;
@@ -181,7 +189,7 @@ struct PlanNode {
   std::string source;  // kSource only: the binding name
   std::vector<PlanNodePtr> inputs;
 
-  /// Output placement; shuffles set kHashKey, narrow ops inherit it only
+  /// Output placement; shuffles set it, narrow ops inherit it only
   /// when `preserves_partitioning` (they leave the key untouched).
   Partitioning partitioning;
   /// Number of components in the record key (0 = rows are not keyed).
@@ -225,9 +233,12 @@ class PlanBuilder {
   PlanNodePtr Source(std::string name, int key_arity, comp::Pos pos = {});
   PlanNodePtr Narrow(PlanNode::Op op, std::string label, PlanNodePtr in,
                      int key_arity, bool preserves_partitioning = false);
+  /// A shuffle placed by `placement` (the same Partitioner the run
+  /// closure hands the engine, so plan metadata and execution agree).
   PlanNodePtr Shuffle(PlanNode::Op op, std::string label,
                       std::vector<PlanNodePtr> ins, int key_arity,
-                      int num_partitions = -1);
+                      int num_partitions = -1,
+                      runtime::Partitioner placement = {});
   PlanNodePtr Collect(std::vector<PlanNodePtr> ins);
 
   const std::vector<PlanNodePtr>& nodes() const { return nodes_; }

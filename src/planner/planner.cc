@@ -26,6 +26,7 @@ using exec::ConstEnv;
 using exec::ScalarFn;
 using runtime::Dataset;
 using runtime::Engine;
+using runtime::Partitioner;
 using runtime::Value;
 using runtime::ValueVec;
 using runtime::VInt;
@@ -51,6 +52,11 @@ bool AutoStrategyEnabled(const PlannerOptions& opts) {
   const char* env = std::getenv("SAC_AUTO_STRATEGY");
   if (env != nullptr && std::strcmp(env, "off") == 0) return false;
   return opts.auto_strategy;
+}
+
+int GridShufflePartitions(int64_t cells, int parallelism) {
+  return static_cast<int>(
+      std::clamp<int64_t>(cells, 1, parallelism > 0 ? parallelism : 8));
 }
 
 Result<int64_t> EvalScalarInt(const ExprPtr& e, const Bindings& binds) {
@@ -285,6 +291,12 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
     const TiledMatrix A = ba->tiled, B = bb->tiled;
     const auto ma = gmap[0], mb = gmap[1];
     const bool fuse = opts.fuse_elementwise;
+    // Both sides are keyed by output tile coordinates.
+    const int64_t out_gr = storage::CeilDiv(dims.rows, block);
+    const int64_t out_gc = storage::CeilDiv(dims.cols, block);
+    const Partitioner out_grid = Partitioner::Grid({out_gr, out_gc});
+    const int join_np = GridShufflePartitions(
+        out_gr * out_gc, opts.cluster.default_parallelism);
 
     CompiledQuery q;
     q.strategy = Strategy::kTilingPreserving;
@@ -300,7 +312,8 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
       PlanNodePtr kb =
           pb.Narrow(PlanNode::Op::kMap, "keyTiles", sb, 2);
       PlanNodePtr joined =
-          pb.Shuffle(PlanNode::Op::kJoin, "join", {ka, kb}, 2);
+          pb.Shuffle(PlanNode::Op::kJoin, "join", {ka, kb}, 2, join_np,
+                     out_grid);
       q.plan = pb.Narrow(PlanNode::Op::kMap, "zipTiles", joined, 2,
                          /*preserves_partitioning=*/true);
       q.plan_nodes = pb.TakeNodes();
@@ -318,7 +331,8 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
       };
       SAC_ASSIGN_OR_RETURN(Dataset ka, key_by(A, ma));
       SAC_ASSIGN_OR_RETURN(Dataset kb, key_by(B, mb));
-      SAC_ASSIGN_OR_RETURN(Dataset joined, eng->Join(ka, kb));
+      SAC_ASSIGN_OR_RETURN(Dataset joined,
+                           eng->Join(ka, kb, join_np, out_grid));
       const bool ta_swap = (ma[0] == 1);
       const bool tb_swap = (mb[0] == 1);
       const la::KernelBackend* kbk = eng->kernel_backend();
@@ -622,6 +636,10 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
     if (shape.gens.size() == 2) {
       const storage::BlockVector Va = binds.at(shape.gens[0].source).vec;
       const storage::BlockVector Vb = binds.at(shape.gens[1].source).vec;
+      const int64_t out_blocks = storage::CeilDiv(dims.rows, block);
+      const Partitioner out_grid = Partitioner::Grid({out_blocks});
+      const int join_np =
+          GridShufflePartitions(out_blocks, opts.cluster.default_parallelism);
       const ZipPattern pat =
           MatchZipPattern(hv, val_args[0], val_args[1], consts);
       CompiledQuery q;
@@ -635,14 +653,16 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
         PlanNodePtr sb =
             pb.Source(shape.gens[1].source, 1, shape.gens[1].pos);
         PlanNodePtr joined =
-            pb.Shuffle(PlanNode::Op::kJoin, "join", {sa, sb}, 1);
+            pb.Shuffle(PlanNode::Op::kJoin, "join", {sa, sb}, 1, join_np,
+                       out_grid);
         q.plan = pb.Narrow(PlanNode::Op::kMap, "zipBlocks", joined, 1,
                            /*preserves_partitioning=*/true);
         q.plan_nodes = pb.TakeNodes();
       }
       q.run = [=](Engine* eng) -> Result<QueryResult> {
         const la::KernelBackend* kbk = eng->kernel_backend();
-        SAC_ASSIGN_OR_RETURN(Dataset joined, eng->Join(Va.blocks, Vb.blocks));
+        SAC_ASSIGN_OR_RETURN(Dataset joined,
+                             eng->Join(Va.blocks, Vb.blocks, join_np, out_grid));
         SAC_ASSIGN_OR_RETURN(
             Dataset out,
             eng->Map(

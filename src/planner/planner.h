@@ -65,6 +65,12 @@ Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
 /// unless the SAC_AUTO_STRATEGY=off escape hatch overrides it.
 bool AutoStrategyEnabled(const PlannerOptions& opts);
 
+/// Partition count for a shuffle keyed by a grid of `cells` cells: the
+/// engine parallelism (`parallelism`, <= 0 means the default 8), but no
+/// more partitions than cells, since grid placement leaves any extra
+/// partition empty.
+int GridShufflePartitions(int64_t cells, int parallelism);
+
 /// Evaluates a builder argument / scalar expression to an int64 using the
 /// scalar bindings.
 Result<int64_t> EvalScalarInt(const comp::ExprPtr& e, const Bindings& binds);

@@ -24,6 +24,7 @@ using exec::PredFn;
 using exec::ScalarFn;
 using runtime::Dataset;
 using runtime::Engine;
+using runtime::Partitioner;
 using runtime::Value;
 using runtime::ValueVec;
 using runtime::VInt;
@@ -100,6 +101,8 @@ Result<CompiledQuery> TryReplication(const QueryShape& shape,
                        EvalScalarInt(shape.builder_args[1], binds));
   const TiledMatrix A = it->second.tiled;
   const int64_t N = A.block;
+  const Partitioner out_grid = Partitioner::Grid(
+      {storage::CeilDiv(out_rows, N), storage::CeilDiv(out_cols, N)});
 
   CompiledQuery q;
   q.strategy = Strategy::kReplication;
@@ -112,7 +115,8 @@ Result<CompiledQuery> TryReplication(const QueryShape& shape,
     PlanNodePtr rep = pb.Narrow(PlanNode::Op::kFlatMap, "replicateToImage",
                                 src_n, 2);
     PlanNodePtr grouped =
-        pb.Shuffle(PlanNode::Op::kGroupByKey, "groupByDestTile", {rep}, 2);
+        pb.Shuffle(PlanNode::Op::kGroupByKey, "groupByDestTile", {rep}, 2,
+                   -1, out_grid);
     // Assembly places each gathered element structurally -- not an
     // associative fold, so SAC-W01 must not suggest reduceByKey here.
     q.plan = pb.Narrow(PlanNode::Op::kMap, "assembleShiftedTiles", grouped, 2,
@@ -157,7 +161,8 @@ Result<CompiledQuery> TryReplication(const QueryShape& shape,
               }
             },
             "replicateToImage"));
-    SAC_ASSIGN_OR_RETURN(Dataset grouped, eng->GroupByKey(replicated));
+    SAC_ASSIGN_OR_RETURN(Dataset grouped,
+                         eng->GroupByKey(replicated, -1, out_grid));
     // Reduce side: assemble each output tile from the gathered inputs.
     SAC_ASSIGN_OR_RETURN(
         Dataset out,
@@ -439,6 +444,13 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
     }
   }
 
+  // Block / tile placement of the re-tiling shuffle (TiledFromCoo places
+  // by the same grid).
+  const Partitioner block_grid =
+      out_is_vector ? Partitioner::Grid({storage::CeilDiv(out_rows, block)})
+                    : Partitioner::Grid({storage::CeilDiv(out_rows, block),
+                                         storage::CeilDiv(out_cols, block)});
+
   const QueryShape sh = shape;  // captured copies
   const Bindings bnds = binds;
   const std::vector<CooAgg> aggs_c = aggs;
@@ -489,13 +501,15 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
       PlanNodePtr kblk = pb.Narrow(PlanNode::Op::kMap, "keyByBlock",
                                    result, 1);
       PlanNodePtr gp =
-          pb.Shuffle(PlanNode::Op::kGroupByKey, "groupByBlock", {kblk}, 1);
+          pb.Shuffle(PlanNode::Op::kGroupByKey, "groupByBlock", {kblk}, 1,
+                     -1, block_grid);
       q.plan = pb.Narrow(PlanNode::Op::kMap, "buildBlocks", gp, 1,
                          /*preserves_partitioning=*/true);
     } else {
       PlanNodePtr kt = pb.Narrow(PlanNode::Op::kMap, "keyByTile", result, 2);
       PlanNodePtr gp =
-          pb.Shuffle(PlanNode::Op::kGroupByKey, "groupByTile", {kt}, 2);
+          pb.Shuffle(PlanNode::Op::kGroupByKey, "groupByTile", {kt}, 2, -1,
+                     block_grid);
       q.plan = pb.Narrow(PlanNode::Op::kMap, "buildTiles", gp, 2,
                          /*preserves_partitioning=*/true);
     }
@@ -663,7 +677,8 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
                              VPair(VInt(i % N), row.At(1)));
               },
               "keyByBlock"));
-      SAC_ASSIGN_OR_RETURN(Dataset grouped_b, eng->GroupByKey(keyed_blocks));
+      SAC_ASSIGN_OR_RETURN(Dataset grouped_b,
+                           eng->GroupByKey(keyed_blocks, -1, block_grid));
       SAC_ASSIGN_OR_RETURN(
           Dataset blocks,
           eng->Map(

@@ -21,6 +21,7 @@ using exec::ConstEnv;
 using exec::ScalarFn;
 using runtime::Dataset;
 using runtime::Engine;
+using runtime::Partitioner;
 using runtime::Value;
 using runtime::ValueVec;
 using runtime::VInt;
@@ -506,19 +507,24 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
     for (const auto& a : js.aggs.aggs) ops.push_back(a.op);
     const TiledMatrix A = ba.tiled;
     const Binding B = bb;
-
-    // Cost-based partition sizing: one reduce partition per output tile,
-    // capped at the engine parallelism (docs/COST_MODEL.md).
-    int reduce_np = -1;
-    if (AutoStrategyEnabled(opts)) {
-      const int64_t out_tiles =
-          storage::CeilDiv(out_rows, block) *
-          (out_is_vector ? 1 : storage::CeilDiv(out_cols, block));
-      const int64_t par = opts.cluster.default_parallelism > 0
-                              ? opts.cluster.default_parallelism
-                              : 8;
-      reduce_np = static_cast<int>(std::clamp<int64_t>(out_tiles, 1, par));
-    }
+    // The join is keyed by the shared-dimension block, the reduce by the
+    // output tile (a block index for vector outputs).
+    const int64_t join_blocks =
+        js.a_join_pos == 0 ? A.grid_rows() : A.grid_cols();
+    const int64_t out_tiles =
+        storage::CeilDiv(out_rows, block) *
+        (out_is_vector ? 1 : storage::CeilDiv(out_cols, block));
+    const Partitioner join_grid = Partitioner::Grid({join_blocks});
+    const Partitioner out_grid =
+        out_is_vector ? Partitioner::Grid({storage::CeilDiv(out_rows, block)})
+                      : Partitioner::Grid({storage::CeilDiv(out_rows, block),
+                                           storage::CeilDiv(out_cols, block)});
+    // One join partition per shared-dimension block and one reduce
+    // partition per output tile, capped at the engine parallelism
+    // (docs/COST_MODEL.md).
+    const int par = opts.cluster.default_parallelism;
+    const int join_np = GridShufflePartitions(join_blocks, par);
+    const int reduce_np = GridShufflePartitions(out_tiles, par);
 
     CompiledQuery q;
     q.strategy = Strategy::kReduceByKey;
@@ -537,13 +543,14 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
                             : pb.Narrow(PlanNode::Op::kMap, "keyByJoinDim",
                                         sb, 1);
       PlanNodePtr joined =
-          pb.Shuffle(PlanNode::Op::kJoin, "joinTiles", {ka, kb2}, 1);
+          pb.Shuffle(PlanNode::Op::kJoin, "joinTiles", {ka, kb2}, 1, join_np,
+                     join_grid);
       const int out_key = js.b_is_vector ? 1 : 2;
       PlanNodePtr partials =
           pb.Narrow(PlanNode::Op::kMap, "partialProducts", joined, out_key);
       PlanNodePtr reduced =
           pb.Shuffle(PlanNode::Op::kReduceByKey, "reduceTiles", {partials},
-                     out_key, reduce_np);
+                     out_key, reduce_np, out_grid);
       q.plan = pb.Narrow(PlanNode::Op::kMap, "finalize", reduced, out_key,
                          /*preserves_partitioning=*/true);
       q.plan_nodes = pb.TakeNodes();
@@ -575,7 +582,8 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
                     },
                     "keyByJoinDim"));
       }
-      SAC_ASSIGN_OR_RETURN(Dataset joined, eng->Join(ka, kb));
+      SAC_ASSIGN_OR_RETURN(Dataset joined,
+                           eng->Join(ka, kb, join_np, join_grid));
       // Per joined pair: partial aggregate tiles keyed by output coord.
       const bool a_swap = (js.a_out_pos == 1);  // stored (k, i): transpose
       const bool b_swap = !js.b_is_vector && (js.b_join_pos == 1);
@@ -620,7 +628,7 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
               "partialProducts"));
       SAC_ASSIGN_OR_RETURN(Dataset reduced,
                            eng->ReduceByKey(partials, TupleTileCombine(ops),
-                                            reduce_np));
+                                            reduce_np, out_grid));
       // Finalize.
       const ScalarFn fin = js.finalize;
       const bool identity = js.finalize_identity;
@@ -714,16 +722,18 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
     const bool vec_out = out_is_vector;
     const std::vector<size_t> kpos = key_pos;
     const int64_t orows = out_rows, ocols = out_cols, N = block;
+    const Partitioner out_grid =
+        vec_out ? Partitioner::Grid({storage::CeilDiv(orows, N)})
+                : Partitioner::Grid(
+                      {storage::CeilDiv(orows, N), storage::CeilDiv(ocols, N)});
 
     int reduce_np = -1;
     if (AutoStrategyEnabled(opts)) {
       const int64_t out_tiles =
           storage::CeilDiv(orows, N) *
           (vec_out ? 1 : storage::CeilDiv(ocols, N));
-      const int64_t par = opts.cluster.default_parallelism > 0
-                              ? opts.cluster.default_parallelism
-                              : 8;
-      reduce_np = static_cast<int>(std::clamp<int64_t>(out_tiles, 1, par));
+      reduce_np =
+          GridShufflePartitions(out_tiles, opts.cluster.default_parallelism);
     }
 
     CompiledQuery q;
@@ -739,7 +749,7 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
                                        "partialAggregates", src_n, out_key);
       PlanNodePtr reduced =
           pb.Shuffle(PlanNode::Op::kReduceByKey, "reduceTiles", {partials},
-                     out_key, reduce_np);
+                     out_key, reduce_np, out_grid);
       q.plan = pb.Narrow(PlanNode::Op::kMap, "finalize", reduced, out_key,
                          /*preserves_partitioning=*/true);
       q.plan_nodes = pb.TakeNodes();
@@ -836,7 +846,7 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
               "partialAggregates"));
       SAC_ASSIGN_OR_RETURN(Dataset reduced,
                            eng->ReduceByKey(partials, TupleTileCombine(ops),
-                                            reduce_np));
+                                            reduce_np, out_grid));
       SAC_ASSIGN_OR_RETURN(
           Dataset out,
           eng->Map(
@@ -912,10 +922,14 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
   const int64_t block = ba.tiled.block;
   const int64_t out_gr = storage::CeilDiv(out_rows, block);
   const int64_t out_gc = storage::CeilDiv(out_cols, block);
+  // Panels are keyed by output tile: place them by grid coordinates.
+  const Partitioner out_grid = Partitioner::Grid({out_gr, out_gc});
 
   std::vector<ReduceOp> ops;
   for (const auto& a : js.aggs.aggs) ops.push_back(a.op);
   const TiledMatrix A = ba.tiled, B = bb.tiled;
+  const int cogroup_np =
+      GridShufflePartitions(out_gr * out_gc, opts.cluster.default_parallelism);
 
   CompiledQuery q;
   q.strategy = Strategy::kGroupByJoin;
@@ -934,7 +948,8 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
     PlanNodePtr ra = pb.Narrow(PlanNode::Op::kFlatMap, "replicateA", sa, 2);
     PlanNodePtr rb = pb.Narrow(PlanNode::Op::kFlatMap, "replicateB", sb, 2);
     PlanNodePtr cg =
-        pb.Shuffle(PlanNode::Op::kCoGroup, "cogroupPanels", {ra, rb}, 2);
+        pb.Shuffle(PlanNode::Op::kCoGroup, "cogroupPanels", {ra, rb}, 2,
+                   cogroup_np, out_grid);
     q.plan = pb.Narrow(PlanNode::Op::kFlatMap, "summaMultiply", cg, 2,
                        /*preserves_partitioning=*/true);
     q.plan_nodes = pb.TakeNodes();
@@ -972,7 +987,8 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
               }
             },
             "replicateB"));
-    SAC_ASSIGN_OR_RETURN(Dataset cg, eng->CoGroup(as, bs));
+    SAC_ASSIGN_OR_RETURN(Dataset cg,
+                         eng->CoGroup(as, bs, cogroup_np, out_grid));
     const ScalarFn fin = js.finalize;
     const bool identity = js.finalize_identity;
     SAC_ASSIGN_OR_RETURN(

@@ -850,11 +850,14 @@ Result<Dataset> Engine::Union(const Dataset& a, const Dataset& b) {
 
 Result<Engine::ShuffleBuckets> Engine::BucketRows(const TaskContext& ctx,
                                                   Partition rows,
-                                                  int src_part,
-                                                  int num_dest, int attempt) {
+                                                  int src_part, int num_dest,
+                                                  const Partitioner& part,
+                                                  int attempt) {
   ShuffleBuckets buckets;
   buckets.remote_by_dest.resize(num_dest);
   buckets.local_by_dest.resize(num_dest);
+  buckets.dest_records.assign(num_dest, 0);
+  buckets.dest_bytes.assign(num_dest, 0);
   const int src_exec = ExecutorOf(src_part);
 
   // A (src, dest) pair is entirely local or entirely remote, so each
@@ -862,7 +865,6 @@ Result<Engine::ShuffleBuckets> Engine::BucketRows(const TaskContext& ctx,
   std::vector<uint8_t> local_dest(num_dest, 0);
   std::vector<ByteWriter> writers;
   writers.reserve(num_dest);
-  std::vector<uint64_t> local_bytes(num_dest, 0);
   for (int d = 0; d < num_dest; ++d) {
     local_dest[d] = ExecutorOf(d) == src_exec;
     if (local_dest[d]) {
@@ -891,27 +893,28 @@ Result<Engine::ShuffleBuckets> Engine::BucketRows(const TaskContext& ctx,
                                    ctx, src_part, attempt));
     }
     SAC_RETURN_NOT_OK(ExpectPair(row));
-    const int dest =
-        static_cast<int>(row.At(0).Hash() % static_cast<uint64_t>(num_dest));
+    const int dest = part.Of(row.At(0), num_dest);
     if (local_dest[dest]) {
       // Zero-copy route: the Value moves as-is; meter what it would have
       // cost on the wire (SerializedSize is exact, see value.h).
-      local_bytes[dest] += row.SerializedSize();
+      buckets.dest_bytes[dest] += row.SerializedSize();
       buckets.local_by_dest[dest]->push_back(std::move(row));
     } else {
       row.Serialize(&writers[dest]);
     }
+    ++buckets.dest_records[dest];
     ++buckets.records;
   }
 
   const MeterSink& sink = ctx.sink;
   for (int d = 0; d < num_dest; ++d) {
     if (local_dest[d]) {
-      sink.Add(Counter::kLocalShuffleBytes, local_bytes[d]);
+      sink.Add(Counter::kLocalShuffleBytes, buckets.dest_bytes[d]);
       continue;
     }
     // Remote buckets are exactly the other executors' destinations.
     const uint64_t bytes = buckets.remote_by_dest[d]->size();
+    buckets.dest_bytes[d] = bytes;
     sink.Add(Counter::kShuffleBytes, bytes);
     sink.Add(Counter::kCrossExecutorBytes, bytes);
   }
@@ -922,10 +925,12 @@ Result<Engine::ShuffleBuckets> Engine::BucketRows(const TaskContext& ctx,
 Result<Dataset> Engine::ShuffleOp(DatasetImpl::OpKind kind,
                                   const std::string& label,
                                   std::vector<Dataset> parents,
-                                  int num_partitions, MapSideFn map_side,
+                                  int num_partitions, const Partitioner& part,
+                                  MapSideFn map_side,
                                   ReduceSideFn reduce_side) {
   for (const Dataset& p : parents) SAC_RETURN_NOT_OK(Recover(p));
   Dataset ds = NewDataset(kind, label, std::move(parents), num_partitions);
+  ds->partitioner_ = part;
   ds->wide_fn_ = [map_side, reduce_side](Engine* eng, DatasetImpl* self,
                                          int out) {
     return eng->ExecuteShuffle(self, map_side, reduce_side, out);
@@ -975,7 +980,8 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
           SAC_ASSIGN_OR_RETURN(Partition combined, map_side(pin.rows(), p));
           SAC_ASSIGN_OR_RETURN(ShuffleBuckets bs,
                                BucketRows(write_ctx, std::move(combined), s,
-                                          num_dest, attempt));
+                                          num_dest, ds->partitioner_,
+                                          attempt));
           if (coord_) {
             SAC_RETURN_NOT_OK(PushShuffleBuckets(sink, sid, p, s, &bs));
           }
@@ -983,6 +989,21 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
           buckets[p][s] = std::move(bs);
           return Status::OK();
         }));
+  }
+
+  // Partition balance of this run: per-destination records and bytes
+  // summed over every source bucket.
+  if (StageStats* stage = sink.stage()) {
+    std::vector<uint64_t> records(num_dest, 0), bytes(num_dest, 0);
+    for (const std::vector<ShuffleBuckets>& per_src : buckets) {
+      for (const ShuffleBuckets& bs : per_src) {
+        for (int d = 0; d < num_dest; ++d) {
+          records[d] += bs.dest_records[d];
+          bytes[d] += bs.dest_bytes[d];
+        }
+      }
+    }
+    stage->AddPartitionCounts(records, bytes);
   }
 
   // Lineage re-execution (distributed only): a fetch that comes back
@@ -1007,7 +1028,8 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
     SAC_ASSIGN_OR_RETURN(Partition combined, map_side(pin.rows(), p));
     SAC_ASSIGN_OR_RETURN(ShuffleBuckets fresh,
                          BucketRows(write_ctx, std::move(combined), s,
-                                    num_dest, /*attempt=*/1));
+                                    num_dest, ds->partitioner_,
+                                    /*attempt=*/1));
     // Only the remote buckets were lost; the local buckets' originals
     // never left driver memory, so the fresh copies are discarded with
     // `fresh` (the map side is deterministic -- identical bytes either
@@ -1128,7 +1150,8 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
 }
 
 Result<Dataset> Engine::ReduceByKey(const Dataset& in, CombineFn combine,
-                                    int num_partitions) {
+                                    int num_partitions,
+                                    const Partitioner& part) {
   if (num_partitions <= 0) num_partitions = in->num_partitions();
   auto fold = [combine](ValueVec rows, Partition* out) -> Status {
     KeySlots slots;
@@ -1158,11 +1181,12 @@ Result<Dataset> Engine::ReduceByKey(const Dataset& in, CombineFn combine,
     return fold(std::move(rows_a), out);
   };
   return ShuffleOp(DatasetImpl::OpKind::kShuffle, "reduceByKey", {in},
-                   num_partitions, std::move(map_side),
+                   num_partitions, part, std::move(map_side),
                    std::move(reduce_side));
 }
 
-Result<Dataset> Engine::GroupByKey(const Dataset& in, int num_partitions) {
+Result<Dataset> Engine::GroupByKey(const Dataset& in, int num_partitions,
+                                   const Partitioner& part) {
   if (num_partitions <= 0) num_partitions = in->num_partitions();
   MapSideFn map_side = [](const Partition& src, int) -> Result<Partition> {
     for (const Value& row : src) SAC_RETURN_NOT_OK(ExpectPair(row));
@@ -1184,11 +1208,12 @@ Result<Dataset> Engine::GroupByKey(const Dataset& in, int num_partitions) {
     return Status::OK();
   };
   return ShuffleOp(DatasetImpl::OpKind::kShuffle, "groupByKey", {in},
-                   num_partitions, std::move(map_side),
+                   num_partitions, part, std::move(map_side),
                    std::move(reduce_side));
 }
 
-Result<Dataset> Engine::PartitionBy(const Dataset& in, int num_partitions) {
+Result<Dataset> Engine::PartitionBy(const Dataset& in, int num_partitions,
+                                    const Partitioner& part) {
   if (num_partitions <= 0) num_partitions = in->num_partitions();
   MapSideFn map_side = [](const Partition& src, int) -> Result<Partition> {
     for (const Value& row : src) SAC_RETURN_NOT_OK(ExpectPair(row));
@@ -1199,12 +1224,12 @@ Result<Dataset> Engine::PartitionBy(const Dataset& in, int num_partitions) {
     return Status::OK();
   };
   return ShuffleOp(DatasetImpl::OpKind::kShuffle, "partitionBy", {in},
-                   num_partitions, std::move(map_side),
+                   num_partitions, part, std::move(map_side),
                    std::move(reduce_side));
 }
 
 Result<Dataset> Engine::Join(const Dataset& a, const Dataset& b,
-                             int num_partitions) {
+                             int num_partitions, const Partitioner& part) {
   if (num_partitions <= 0) {
     num_partitions = std::max(a->num_partitions(), b->num_partitions());
   }
@@ -1227,12 +1252,12 @@ Result<Dataset> Engine::Join(const Dataset& a, const Dataset& b,
     return Status::OK();
   };
   return ShuffleOp(DatasetImpl::OpKind::kCoShuffle, "join", {a, b},
-                   num_partitions, std::move(map_side),
+                   num_partitions, part, std::move(map_side),
                    std::move(reduce_side));
 }
 
 Result<Dataset> Engine::CoGroup(const Dataset& a, const Dataset& b,
-                                int num_partitions) {
+                                int num_partitions, const Partitioner& part) {
   if (num_partitions <= 0) {
     num_partitions = std::max(a->num_partitions(), b->num_partitions());
   }
@@ -1265,7 +1290,7 @@ Result<Dataset> Engine::CoGroup(const Dataset& a, const Dataset& b,
     return Status::OK();
   };
   return ShuffleOp(DatasetImpl::OpKind::kCoShuffle, "cogroup", {a, b},
-                   num_partitions, std::move(map_side),
+                   num_partitions, part, std::move(map_side),
                    std::move(reduce_side));
 }
 

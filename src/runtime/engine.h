@@ -58,6 +58,7 @@
 #include "src/common/thread_pool.h"
 #include "src/common/trace.h"
 #include "src/runtime/memory.h"
+#include "src/runtime/partitioner.h"
 #include "src/runtime/recovery.h"
 #include "src/runtime/session.h"
 #include "src/runtime/value.h"
@@ -186,6 +187,9 @@ class DatasetImpl {
 
   int num_partitions() const { return static_cast<int>(parts_.size()); }
   const std::string& label() const { return label_; }
+  /// Where a shuffle placed this node's rows (the hash partitioner for
+  /// non-shuffle nodes).
+  const Partitioner& partitioner() const { return partitioner_; }
   /// Index of this node's stage in Engine::stages() (see StageRegistry).
   int stage_id() const { return stage_.id; }
 
@@ -209,6 +213,9 @@ class DatasetImpl {
   OpKind kind_ = OpKind::kSource;
   std::string label_;
   StageRef stage_;  // per-stage metrics attribution (generation-tagged)
+  // Shuffle placement, fixed at creation so lineage recompute, single-
+  // partition recovery and the distributed re-push route rows alike.
+  Partitioner partitioner_;
   std::vector<std::shared_ptr<DatasetImpl>> parents_;
   std::vector<Partition> parts_;
   // uint8_t, not bool: reduce tasks mark distinct partitions available from
@@ -407,29 +414,37 @@ class Engine {
   Result<Dataset> Union(const Dataset& a, const Dataset& b);
 
   // ---- Wide (shuffling) transformations ------------------------------
-  // All of these expect rows shaped as pairs (key, value).
+  // All of these expect rows shaped as pairs (key, value). `part` places
+  // each key (partitioner.h): grid coordinates when the caller knows the
+  // key grid, the value hash otherwise. `num_partitions` <= 0 takes the
+  // inputs' partition count.
 
-  /// Spark's reduceByKey(combine): map-side combine per partition, hash
+  /// Spark's reduceByKey(combine): map-side combine per partition,
   /// shuffle of the partial aggregates, reduce-side fold in deterministic
   /// order. `combine` must be associative.
   Result<Dataset> ReduceByKey(const Dataset& in, CombineFn combine,
-                              int num_partitions = -1);
+                              int num_partitions = -1,
+                              const Partitioner& part = Partitioner());
 
   /// Spark's groupByKey: shuffles every record; output rows are
   /// (key, List[v]) with values in (source partition, row) order.
-  Result<Dataset> GroupByKey(const Dataset& in, int num_partitions = -1);
+  Result<Dataset> GroupByKey(const Dataset& in, int num_partitions = -1,
+                             const Partitioner& part = Partitioner());
 
   /// Inner join: output rows (key, (v, w)) for every matching pair.
   Result<Dataset> Join(const Dataset& a, const Dataset& b,
-                       int num_partitions = -1);
+                       int num_partitions = -1,
+                       const Partitioner& part = Partitioner());
 
   /// CoGroup: output rows (key, (List[v], List[w])) for keys present in
   /// either input.
   Result<Dataset> CoGroup(const Dataset& a, const Dataset& b,
-                          int num_partitions = -1);
+                          int num_partitions = -1,
+                          const Partitioner& part = Partitioner());
 
-  /// Hash-repartition by key without aggregation.
-  Result<Dataset> PartitionBy(const Dataset& in, int num_partitions = -1);
+  /// Repartition by key without aggregation.
+  Result<Dataset> PartitionBy(const Dataset& in, int num_partitions = -1,
+                              const Partitioner& part = Partitioner());
 
   // ---- Actions --------------------------------------------------------
   /// Gathers all rows (recovering lost partitions first). Order is
@@ -505,7 +520,8 @@ class Engine {
   /// Creates, executes and wires up a wide (shuffling) operator.
   Result<Dataset> ShuffleOp(DatasetImpl::OpKind kind, const std::string& label,
                             std::vector<Dataset> parents, int num_partitions,
-                            MapSideFn map_side, ReduceSideFn reduce_side);
+                            const Partitioner& part, MapSideFn map_side,
+                            ReduceSideFn reduce_side);
 
   /// Runs the shuffle for `ds`; only_dest >= 0 restricts to one output
   /// partition (lineage recovery), -1 computes all of them.
@@ -616,12 +632,17 @@ class Engine {
     std::vector<PooledVec<uint8_t>> remote_by_dest;  // serialized records
     std::vector<PooledVec<Value>> local_by_dest;     // zero-copy records
     uint64_t records = 0;
+    // Per-destination record and (serialized) byte counts: the stage's
+    // partition balance (StageStats::AddPartitionCounts).
+    std::vector<uint64_t> dest_records;
+    std::vector<uint64_t> dest_bytes;
   };
   // The ctx + attempt let the row loop consult the fault plan at
   // kShuffleSerialize mid-serialization (before any metering, so a killed
   // attempt leaves the counters untouched).
   Result<ShuffleBuckets> BucketRows(const TaskContext& ctx, Partition rows,
-                                    int src_part, int num_dest, int attempt);
+                                    int src_part, int num_dest,
+                                    const Partitioner& part, int attempt);
 
   /// RAII marker for a running operator; makes ResetStats() misuse loud.
   /// This counts *operators*, not queries -- several may be live at once

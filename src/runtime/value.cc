@@ -189,7 +189,9 @@ int Value::Compare(const Value& other) const {
   return 0;
 }
 
-uint64_t Value::Hash() const {
+uint64_t Value::Hash() const { return Mix64(UnmixedHash()); }
+
+uint64_t Value::UnmixedHash() const {
   switch (kind()) {
     case Kind::kUnit:
       return 0x51CE0FF5ULL;

@@ -22,6 +22,18 @@ namespace sac::runtime {
 class Value;
 using ValueVec = std::vector<Value>;
 
+/// fmix64 (MurmurHash3's 64-bit finalizer): every input bit reaches every
+/// output bit, so low-entropy hashes (small integers, integer-valued
+/// doubles) spread over `% n` buckets.
+constexpr uint64_t Mix64(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
 class Value {
  public:
   enum class Kind : uint8_t {
@@ -89,7 +101,9 @@ class Value {
   /// Total order used for deterministic sorting in tests and group output.
   /// Orders first by kind, then by content.
   int Compare(const Value& other) const;
-  /// Stable structural hash (used by the shuffle partitioner).
+  /// Stable structural hash, finalized with Mix64 so hash containers
+  /// and the shuffle's hash placement (partitioner.h) see well-mixed
+  /// bits. Equal values hash equally (VInt(5) and VDouble(5.0) too).
   uint64_t Hash() const;
 
   std::string ToString() const;
@@ -108,6 +122,8 @@ class Value {
   explicit Value(int64_t v) : repr_(v) {}
   explicit Value(double v) : repr_(v) {}
   explicit Value(bool v) : repr_(v) {}
+
+  uint64_t UnmixedHash() const;  // Hash() before the finalizer
 
   using Repr = std::variant<std::monostate, int64_t, double, bool,
                             std::shared_ptr<const std::string>,

@@ -81,7 +81,8 @@ Result<BlockVector> SpMatVec(Engine* eng, const SparseTiledMatrix& a,
                          VPair(row.At(0).At(0), row.At(1)));
           },
           "keyByColPanel"));
-  SAC_ASSIGN_OR_RETURN(Dataset joined, eng->Join(keyed, x.blocks));
+  SAC_ASSIGN_OR_RETURN(Dataset joined,
+                       eng->Join(keyed, x.blocks, -1, x.partitioner()));
   SAC_ASSIGN_OR_RETURN(
       Dataset partials,
       eng->Map(
@@ -97,11 +98,14 @@ Result<BlockVector> SpMatVec(Engine* eng, const SparseTiledMatrix& a,
           "spmvPartials"));
   SAC_ASSIGN_OR_RETURN(
       Dataset reduced,
-      eng->ReduceByKey(partials, [](const Value& p, const Value& q) {
-        Value acc = p;
-        la::AddInPlace(acc.MutableTile(), q.AsTile());
-        return acc;
-      }));
+      eng->ReduceByKey(
+          partials,
+          [](const Value& p, const Value& q) {
+            Value acc = p;
+            la::AddInPlace(acc.MutableTile(), q.AsTile());
+            return acc;
+          },
+          -1, Partitioner::Grid({a.grid_rows()})));
   return BlockVector{a.rows, a.block, reduced};
 }
 
@@ -138,7 +142,9 @@ Result<TiledMatrix> SpMultiply(Engine* eng, const SparseTiledMatrix& a,
             }
           },
           "replicateDenseB"));
-  SAC_ASSIGN_OR_RETURN(Dataset cg, eng->CoGroup(as, bs));
+  SAC_ASSIGN_OR_RETURN(
+      Dataset cg,
+      eng->CoGroup(as, bs, -1, Partitioner::Grid({out_gr, out_gc})));
   SAC_ASSIGN_OR_RETURN(
       Dataset out,
       eng->FlatMap(

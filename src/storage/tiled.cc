@@ -227,7 +227,8 @@ Result<TiledMatrix> TiledFromCoo(Engine* eng, const CooMatrix& coo,
                                row.At(1)));
           },
           "keyByTile"));
-  SAC_ASSIGN_OR_RETURN(Dataset grouped, eng->GroupByKey(keyed));
+  SAC_ASSIGN_OR_RETURN(Dataset grouped,
+                       eng->GroupByKey(keyed, -1, m.partitioner()));
   const TiledMatrix dims = m;
   SAC_ASSIGN_OR_RETURN(
       m.tiles,

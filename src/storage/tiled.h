@@ -27,6 +27,7 @@ namespace sac::storage {
 
 using runtime::Dataset;
 using runtime::Engine;
+using runtime::Partitioner;
 using runtime::Value;
 using runtime::ValueVec;
 
@@ -41,6 +42,10 @@ struct TiledMatrix {
 
   int64_t grid_rows() const { return CeilDiv(rows, block); }
   int64_t grid_cols() const { return CeilDiv(cols, block); }
+  /// Places (ii, jj)-keyed rows by their tile coordinates.
+  Partitioner partitioner() const {
+    return Partitioner::Grid({grid_rows(), grid_cols()});
+  }
   /// Shape of the tile at grid position (ii, jj).
   int64_t tile_rows(int64_t ii) const {
     return std::min(block, rows - ii * block);
@@ -57,6 +62,8 @@ struct BlockVector {
   Dataset blocks;
 
   int64_t grid() const { return CeilDiv(size, block); }
+  /// Places ii-keyed rows by their block index.
+  Partitioner partitioner() const { return Partitioner::Grid({grid()}); }
   int64_t block_len(int64_t ii) const {
     return std::min(block, size - ii * block);
   }

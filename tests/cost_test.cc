@@ -57,7 +57,6 @@ TEST(ShapeInference, SourceShapeFromTiledBinding) {
   EXPECT_DOUBLE_EQ(s.records, 32.0);
   // One 64x64 tile of doubles plus the per-record framing overhead.
   EXPECT_DOUBLE_EQ(s.bytes_per_record, 64 * 64 * 8 + kRecordOverheadBytes);
-  EXPECT_EQ(s.spread, SymbolicShape::Spread::kUniform);
 }
 
 TEST(ShapeInference, WithoutBindingsEveryShapeIsTop) {

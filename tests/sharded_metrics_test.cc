@@ -93,7 +93,8 @@ TEST(ShardedMetricsTest, CurrentSinkScopesNest) {
     const MeterSink::Scope scope(sink);
     MeterSink::Current().Add(Counter::kTileAllocs, 2);
     {
-      const MeterSink::Scope inner{MeterSink()};
+      const MeterSink dropping;  // must outlive the scope that installs it
+      const MeterSink::Scope inner(dropping);
       MeterSink::Current().Add(Counter::kTileAllocs, 4);  // dropped
     }
     MeterSink::Current().Add(Counter::kTileAllocs, 8);

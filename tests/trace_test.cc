@@ -311,7 +311,7 @@ TEST(StageRegistryTest, ReportStringGoldenLayout) {
       "stage label                    kind       tasks   records_in "
       "  shuffle_KB   cross_KB   local_KB  recomp retries faults "
       "backoff_ms  ckpt_KB evict_KB reload_KB dist_tx_KB dist_rx_KB "
-      "reexec   wall_ms  task_p95_us\n";
+      "reexec   wall_ms  task_p95_us  skew bskew\n";
   ASSERT_EQ(report.substr(0, expected_header.size()), expected_header);
 
   // One populated row keeps the value formatting pinned too.
@@ -322,13 +322,14 @@ TEST(StageRegistryTest, ReportStringGoldenLayout) {
   stats->Add(Counter::kShuffleBytes, 2048);
   stats->Add(Counter::kShuffleRecords, 4);
   stats->Add(Counter::kCrossExecutorBytes, 2048);
+  stats->AddPartitionCounts({3, 1}, {1536, 512});
   const std::string row = registry.ReportString().substr(
       expected_header.size());
   EXPECT_EQ(row,
             "0     golden                   shuffle        1            0 "
             "         2.0        2.0        0.0       0       0      0 "
             "       0.0      0.0      0.0       0.0        0.0        0.0 "
-            "     0      0.00            0\n");
+            "     0      0.00            0  1.50  1.50\n");
 }
 
 TEST(MetricsSnapshotTest, PlainCopyMatchesAtomics) {

@@ -219,18 +219,21 @@ std::string RenderSarif(const std::vector<FileDiagnostic>& findings) {
 // --calibrate: fit the cost-model constants to committed BENCH reports
 // ---------------------------------------------------------------------------
 
-/// One bench row turned into a regression observation of
-///   time_ms = cross/1e6 * a + local/1e6 * b + tasks/1e3 * c + flops/1e6 * d.
+/// One bench stage turned into a regression observation of
+///   wall_ms = cross/1e6 * a + local/1e6 * b + tasks/1e3 * c + flops/1e6 * d.
 struct Observation {
   double features[4] = {0, 0, 0, 0};
   double time_ms = 0;
   std::string label;
 };
 
-/// Extracts the rows the model is calibrated on: the SAC series of fig4a
-/// (elementwise addition, n^2 flops) and the SAC / SAC GBJ series of
-/// fig4b (dense multiply, 2n^3 flops). MLlib rows model a different
-/// kernel baseline and fig4c mixes whole-iteration loops; both excluded.
+/// Extracts the observations the model is calibrated on: every stage of
+/// the SAC series of fig4a (elementwise addition) and the SAC / SAC GBJ
+/// series of fig4b (dense multiply). MLlib rows model a different kernel
+/// baseline and fig4c mixes whole-iteration loops; both excluded. One
+/// observation per stage keeps shuffle stages (bytes) and compute stages
+/// (flops) apart, which whole-row totals -- where bytes and flops both
+/// grow with n^3 -- cannot.
 bool CollectObservations(const std::string& path,
                          std::vector<Observation>* out) {
   std::ifstream in(path);
@@ -249,32 +252,29 @@ bool CollectObservations(const std::string& path,
   for (const sac::json::Value& row : root.At("rows").array) {
     const std::string figure = row.GetStr("figure");
     const std::string series = row.GetStr("series");
-    const double n = row.GetNum("n");
-    double flops = 0;
-    if (figure == "fig4a" && series == "SAC") {
-      flops = n * n;
-    } else if (figure == "fig4b" &&
-               (series == "SAC" || series == "SAC GBJ")) {
-      flops = 2.0 * n * n * n;
-    } else {
+    if (!(figure == "fig4a" && series == "SAC") &&
+        !(figure == "fig4b" && (series == "SAC" || series == "SAC GBJ"))) {
       continue;
     }
-    const sac::json::Value& totals = row.At("totals");
-    const double shuffle = totals.GetNum("shuffle_bytes");
-    const double cross = totals.GetNum("cross_executor_bytes");
-    // Older reports counted tasks under "tasks_run".
-    const double tasks =
-        totals.Has("tasks") ? totals.GetNum("tasks")
-                            : totals.GetNum("tasks_run");
-    Observation ob;
-    ob.features[0] = cross / 1e6;
-    ob.features[1] = (shuffle - cross) / 1e6;
-    ob.features[2] = tasks / 1e3;
-    ob.features[3] = flops / 1e6;
-    ob.time_ms = row.GetNum("time_ms");
-    ob.label = figure + "/" + series + " n=" +
-               std::to_string(static_cast<int64_t>(n));
-    out->push_back(ob);
+    for (const sac::json::Value& stage : row.At("stages").array) {
+      const double wall_ms = stage.GetNum("wall_ms");
+      if (wall_ms <= 0) continue;
+      Observation ob;
+      // shuffle_bytes counts the cross-executor bytes only; executor-
+      // local bytes are metered separately.
+      ob.features[0] = stage.GetNum("cross_executor_bytes") / 1e6;
+      ob.features[1] = stage.GetNum("local_shuffle_bytes") / 1e6;
+      ob.features[2] = stage.GetNum("tasks_run") / 1e3;
+      ob.features[3] = (stage.GetNum("flops_generic") +
+                        stage.GetNum("flops_packed") +
+                        stage.GetNum("flops_jvmlike")) /
+                       1e6;
+      ob.time_ms = wall_ms;
+      ob.label = figure + "/" + series + " n=" +
+                 std::to_string(row.GetInt("n")) + " " +
+                 stage.GetStr("label");
+      out->push_back(ob);
+    }
   }
   return true;
 }
@@ -324,7 +324,7 @@ int RunCalibrate(const std::vector<std::string>& files) {
   }
   if (obs.size() < 4) {
     std::cerr << "calibrate: only " << obs.size()
-              << " usable rows (need >= 4); pass BENCH_fig4a/BENCH_fig4b "
+              << " usable stages (need >= 4); pass BENCH_fig4a/BENCH_fig4b "
                  "reports\n";
     return 2;
   }
@@ -334,7 +334,7 @@ int RunCalibrate(const std::vector<std::string>& files) {
     return 2;
   }
   const sac::analysis::CostModel shipped;
-  std::cout << "calibration over " << obs.size() << " rows:\n";
+  std::cout << "calibration over " << obs.size() << " stages:\n";
   std::cout.precision(3);
   std::cout << std::fixed;
   std::cout << "  ns_per_cross_byte = " << coef[0] << "   (shipped "
@@ -343,8 +343,9 @@ int RunCalibrate(const std::vector<std::string>& files) {
             << shipped.ns_per_local_byte << ")\n"
             << "  us_per_task       = " << coef[2] << "   (shipped "
             << shipped.us_per_task << ")\n"
-            << "  ns_per_flop       = " << coef[3] << "   (shipped "
-            << shipped.ns_per_flop << ")\n";
+            << "  ns_per_flop_packed = " << coef[3] << "   (shipped "
+            << shipped.ns_per_flop_packed
+            << "; the benches run the default packed backend)\n";
   double abs_err = 0;
   double abs_y = 0;
   for (const Observation& ob : obs) {

@@ -31,6 +31,12 @@
 //       the report contains no predictions at all (a vacuous pass would
 //       hide a plumbing break). See docs/COST_MODEL.md.
 //
+//   sac_prof skewcheck <BENCH.json>
+//       Partition-balance gate: every shuffle stage row's
+//       partition_skew (max / mean records per destination partition)
+//       must be at most 1.5. Fails on a violation, and when the report
+//       has no shuffle stage rows at all.
+//
 // See docs/PROFILING.md for the profile schema and semantics.
 #include <algorithm>
 #include <cstdio>
@@ -57,7 +63,8 @@ int Usage() {
       "       sac_prof diff <base.json> <current.json>\n"
       "           [--time-pct P] [--time-abs-ms MS] [--bytes-pct P]\n"
       "           [--bytes-abs B] [--count-pct P] [--count-abs C]\n"
-      "       sac_prof predcheck <BENCH.json> [--max-ratio R]\n");
+      "       sac_prof predcheck <BENCH.json> [--max-ratio R]\n"
+      "       sac_prof skewcheck <BENCH.json>\n");
   return 2;
 }
 
@@ -388,6 +395,55 @@ int RunPredcheck(const std::string& text, double max_ratio) {
   return failures == 0 ? 0 : 1;
 }
 
+// ---------------------------------------------------------------------
+// skewcheck
+// ---------------------------------------------------------------------
+
+/// Bound of the partition-balance gate: the busiest destination may hold
+/// at most half again the mean record count.
+constexpr double kMaxPartitionSkew = 1.5;
+
+/// Holds every shuffle stage of every row to partition_skew <=
+/// kMaxPartitionSkew.
+int RunSkewcheck(const std::string& text) {
+  json::Value report;
+  Status st = json::Parse(text, &report);
+  if (!st.ok() || !report.Has("rows")) {
+    std::fprintf(stderr, "skewcheck: not a bench report: %s\n",
+                 st.ok() ? "no \"rows\"" : st.ToString().c_str());
+    return 2;
+  }
+  int checked = 0, failures = 0;
+  double worst = 0;
+  for (const json::Value& row : report.At("rows").array) {
+    if (!row.Has("stages")) continue;
+    for (const json::Value& stage : row.At("stages").array) {
+      if (!stage.Has("partition_skew")) continue;
+      ++checked;
+      const double skew = stage.GetNum("partition_skew");
+      worst = std::max(worst, skew);
+      if (skew <= kMaxPartitionSkew) continue;
+      ++failures;
+      std::printf("FAIL %s/%s/n=%lld stage #%lld %s: partition_skew %.3f "
+                  "(bytes %.3f) > %.2f\n",
+                  row.GetStr("figure").c_str(), row.GetStr("series").c_str(),
+                  static_cast<long long>(row.GetInt("n")),
+                  static_cast<long long>(stage.GetInt("id")),
+                  stage.GetStr("label").c_str(), skew,
+                  stage.GetNum("partition_bytes_skew"), kMaxPartitionSkew);
+    }
+  }
+  if (checked == 0) {
+    std::fprintf(stderr, "skewcheck: no shuffle stage rows -- refusing a "
+                         "vacuous pass\n");
+    return 1;
+  }
+  std::printf("%d shuffle stage(s) checked, worst partition_skew %.3f, %d "
+              "above %.2f\n",
+              checked, worst, failures, kMaxPartitionSkew);
+  return failures == 0 ? 0 : 1;
+}
+
 int RunDiff(const std::string& base_text, const std::string& cur_text,
             const profile::DiffThresholds& t) {
   json::Value base, cur;
@@ -433,7 +489,7 @@ int Main(int argc, char** argv) {
   std::string cmd = "summary";
   size_t i = 0;
   if (args[0] == "summary" || args[0] == "check" || args[0] == "diff" ||
-      args[0] == "predcheck") {
+      args[0] == "predcheck" || args[0] == "skewcheck") {
     cmd = args[0];
     i = 1;
   }
@@ -489,6 +545,7 @@ int Main(int argc, char** argv) {
     return 2;
   }
   if (cmd == "predcheck") return RunPredcheck(text.value(), max_ratio);
+  if (cmd == "skewcheck") return RunSkewcheck(text.value());
   Result<profile::Profile> p = profile::ParseProfile(text.value());
   if (!p.ok()) {
     std::fprintf(stderr, "sac_prof: %s: %s\n", paths[0].c_str(),
