@@ -58,7 +58,8 @@
 #      block store / memory budget, the recovery/retry path, the
 #      sampler/profile machinery, the multi-tenant session/admission
 #      layer, and the distributed transport/coordinator/worker stack --
-#      heartbeat thread vs RPCs vs placement), since the trace/metrics
+#      heartbeat thread vs RPCs vs placement, and the wire spans its RPCs
+#      record from pool threads), since the trace/metrics
 #      buffers, fault counters, budget
 #      accounting, sampler counters, and per-session attribution sinks
 #      are written from pool/background threads; plus the same 4-session
@@ -256,7 +257,7 @@ if [[ "$mode" == "all" || "$mode" == "--tsan-only" ]]; then
   cmake -B build-tsan -S . -DSAC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$jobs" --target sac_tests bench_abl_service
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/sac_tests \
-    --gtest_filter='Engine*:*Tracer*:*Histogram*:Observability*:ThreadPool*:*MetricsSnapshot*:*Pool*:*ShufflePath*:*ShardedMetrics*:*Recovery*:*FaultPlan*:*BlockStore*:*Memory*:*Sampler*:*Profile*:*Session*:*FrameCodec*:*Transport*:*DistWorker*:*Coordinator*:*DistShuffle*'
+    --gtest_filter='Engine*:*Tracer*:*Histogram*:Observability*:ThreadPool*:*MetricsSnapshot*:*Pool*:*ShufflePath*:*ShardedMetrics*:*Recovery*:*FaultPlan*:*BlockStore*:*Memory*:*Sampler*:*Profile*:*Session*:*FrameCodec*:*Transport*:*DistWorker*:*Coordinator*:*DistShuffle*:*WireSpan*'
   echo "==> tsan: 4-session concurrent service smoke"
   SAC_BENCH_SCALE=tiny SAC_BENCH_REPS=1 env -u SAC_MAX_CONCURRENT \
     TSAN_OPTIONS="halt_on_error=1" \

@@ -165,6 +165,7 @@ std::string MetricsSnapshot::ToString() const {
   if (dist_bytes_sent > 0 || dist_bytes_received > 0 || workers_lost > 0) {
     os << " dist_tx=" << dist_bytes_sent / (1024.0 * 1024.0) << "MB"
        << " dist_rx=" << dist_bytes_received / (1024.0 * 1024.0) << "MB"
+       << " dist_rpcs=" << dist_rpcs
        << " workers_lost=" << workers_lost
        << " reexecuted=" << partitions_reexecuted;
   }

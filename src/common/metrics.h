@@ -59,6 +59,7 @@ namespace sac {
   X(plan_cache_evictions, kPlanCacheEvictions, kEngine)        \
   X(dist_bytes_sent, kDistBytesSent, kStage)                   \
   X(dist_bytes_received, kDistBytesReceived, kStage)           \
+  X(dist_rpcs, kDistRpcs, kStage)                              \
   X(workers_lost, kWorkersLost, kEngine)                       \
   X(partitions_reexecuted, kPartitionsReexecuted, kStage)
 

@@ -164,15 +164,25 @@ Profile BuildProfile(ProfileInputs in) {
       if (it != children.end()) {
         for (const SpanRecord* c : it->second) stack.push_back(c);
       }
-      if (cur == root || cur->category != "task") continue;
+      if (cur == root) continue;
+      auto add_to_phase = [cur](PhaseAgg* ph) {
+        ph->count += 1;
+        ph->task_time += cur->dur_us;
+        ph->longest = std::max(ph->longest, cur->dur_us);
+        ph->ivals.emplace_back(cur->start_us, cur->start_us + cur->dur_us);
+      };
+      if (cur->category == "wire") {
+        // Dist RPCs under the stage's tasks: "wire" phases count RPCs,
+        // by span name ("wire" whole exchanges; "wire:encode",
+        // "wire:call", "wire:decode" their parts). Not tasks.
+        add_to_phase(&a.phases[cur->name]);
+        continue;
+      }
+      if (cur->category != "task") continue;
       a.sp.task_time_us += cur->dur_us;
       a.sp.longest_task_us = std::max(a.sp.longest_task_us, cur->dur_us);
       a.task_us.Record(cur->dur_us);
-      PhaseAgg& ph = a.phases[PhaseOf(*cur)];
-      ph.count += 1;
-      ph.task_time += cur->dur_us;
-      ph.longest = std::max(ph.longest, cur->dur_us);
-      ph.ivals.emplace_back(cur->start_us, cur->start_us + cur->dur_us);
+      add_to_phase(&a.phases[PhaseOf(*cur)]);
     }
   }
 

@@ -18,7 +18,10 @@
 //    each phase ("task", "shuffle-write", "reduce", "checkpoint",
 //    "recompute") reports task count, busy time (union of task
 //    intervals, i.e. time at least one task of that phase ran) and the
-//    longest single task (the straggler bound).
+//    longest single task (the straggler bound). Distributed shuffles add
+//    "wire" phases from the coordinator's wire spans under their tasks:
+//    "wire" (one per batched RPC) and its parts "wire:encode",
+//    "wire:call" and "wire:decode"; their task_count is the RPC count.
 //  * Counters -- per-stage MetricsSnapshot joined from the StageRegistry
 //    by label, plus engine-wide totals; time-series counter samples
 //    (Engine sampler) ride along untouched.
@@ -44,7 +47,7 @@ namespace sac::profile {
 inline constexpr int kProfileVersion = 1;
 
 /// Rollup of one task phase under one stage ("task", "shuffle-write",
-/// "reduce", "checkpoint", "recompute", ...).
+/// "reduce", "checkpoint", "recompute", "wire", ...).
 struct PhaseProfile {
   std::string phase;
   uint64_t task_count = 0;

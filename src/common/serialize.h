@@ -152,6 +152,13 @@ class ByteReader {
     return Status::OK();
   }
 
+  /// Advances past `n` bytes without copying them.
+  Status Skip(size_t n) {
+    if (n > size_ - pos_) return Status::IoError("read past end of buffer");
+    pos_ += n;
+    return Status::OK();
+  }
+
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }
 

@@ -26,6 +26,8 @@ uint32_t CurrentTid() {
 
 std::atomic<uint64_t> g_tracer_uid{0};
 
+thread_local uint64_t tls_parent_span = 0;
+
 }  // namespace
 
 uint64_t NowMicros() {
@@ -190,6 +192,24 @@ void Tracer::Instant(std::string name, std::string category, uint64_t parent,
   Record(std::move(rec));
 }
 
+uint64_t Tracer::Complete(std::string name, std::string category,
+                          uint64_t parent, uint64_t start_us, uint64_t end_us,
+                          std::vector<SpanArg> args) {
+  if (!enabled()) return 0;
+  SpanRecord rec;
+  rec.id = NextId();
+  rec.parent = parent;
+  rec.name = std::move(name);
+  rec.category = std::move(category);
+  rec.start_us = start_us;
+  rec.dur_us = end_us > start_us ? end_us - start_us : 0;
+  rec.tid = CurrentTid();
+  rec.args = std::move(args);
+  const uint64_t id = rec.id;
+  Record(std::move(rec));
+  return id;
+}
+
 void Tracer::Counter(std::string name, std::vector<SpanArg> args) {
   if (!enabled()) return;
   SpanRecord rec;
@@ -320,5 +340,17 @@ void ScopedSpan::AddArg(std::string key, int64_t value) {
   if (!tracer_) return;
   rec_.args.push_back(SpanArg{std::move(key), value});
 }
+
+// ---------------------------------------------------------------------
+// ParentScope
+// ---------------------------------------------------------------------
+
+uint64_t CurrentParent() { return tls_parent_span; }
+
+ParentScope::ParentScope(uint64_t span) : prev_(tls_parent_span) {
+  tls_parent_span = span;
+}
+
+ParentScope::~ParentScope() { tls_parent_span = prev_; }
 
 }  // namespace sac::trace

@@ -119,6 +119,13 @@ class Tracer {
   /// disabled.
   void Record(SpanRecord rec);
 
+  /// Records a span whose interval the caller stamped (NowMicros()
+  /// values) and returns its id, so children can be recorded under it.
+  /// Returns 0 and records nothing when disabled.
+  uint64_t Complete(std::string name, std::string category, uint64_t parent,
+                    uint64_t start_us, uint64_t end_us,
+                    std::vector<SpanArg> args = {});
+
   /// Records a zero-duration instant event.
   void Instant(std::string name, std::string category, uint64_t parent,
                std::vector<SpanArg> args = {});
@@ -195,6 +202,26 @@ class ScopedSpan {
  private:
   Tracer* tracer_;
   SpanRecord rec_;
+};
+
+/// The span that work on the calling thread runs under (0 = none).
+/// Engine tasks set it (ParentScope), so layers below the engine -- the
+/// dist coordinator's wire spans -- parent their spans under the running
+/// task without an id threaded through every call.
+uint64_t CurrentParent();
+
+/// RAII: makes `span` the thread's CurrentParent(), restoring the
+/// previous one on destruction.
+class ParentScope {
+ public:
+  explicit ParentScope(uint64_t span);
+  ~ParentScope();
+
+  ParentScope(const ParentScope&) = delete;
+  ParentScope& operator=(const ParentScope&) = delete;
+
+ private:
+  uint64_t prev_;
 };
 
 }  // namespace sac::trace

@@ -2,12 +2,51 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <thread>
 #include <utility>
 
 #include "src/common/logging.h"
 
 namespace sac::dist {
+
+namespace {
+
+/// The wire spans of one batched RPC: "wire" over the whole exchange,
+/// split at the transport's stamps into wire:encode, wire:call and
+/// wire:decode, parented under the task running on this thread. With
+/// the tracer off it is inert: no clock reads, no records.
+class WireSpans {
+ public:
+  explicit WireSpans(trace::Tracer* tracer)
+      : tracer_(tracer && tracer->enabled() ? tracer : nullptr),
+        begin_(tracer_ ? trace::NowMicros() : 0) {}
+
+  /// Where the transport stamps the call; null when not tracing.
+  net::CallStamps* stamps() { return tracer_ ? &stamps_ : nullptr; }
+
+  /// Records the spans once the response is decoded. `bytes` is the
+  /// RPC's wire bytes, both directions.
+  void Record(size_t buckets, uint64_t bytes) {
+    if (!tracer_) return;
+    const uint64_t end = trace::NowMicros();
+    const uint64_t id = tracer_->Complete(
+        "wire", "wire", trace::CurrentParent(), begin_, end,
+        {{"bytes", static_cast<int64_t>(bytes)},
+         {"buckets", static_cast<int64_t>(buckets)}});
+    tracer_->Complete("wire:encode", "wire", id, begin_, stamps_.encoded);
+    tracer_->Complete("wire:call", "wire", id, stamps_.encoded,
+                      stamps_.received);
+    tracer_->Complete("wire:decode", "wire", id, stamps_.received, end);
+  }
+
+ private:
+  trace::Tracer* const tracer_;
+  const uint64_t begin_;
+  net::CallStamps stamps_;
+};
+
+}  // namespace
 
 Coordinator::Coordinator(std::unique_ptr<net::Transport> transport,
                          CoordinatorOptions opts, Metrics* totals,
@@ -24,36 +63,43 @@ Coordinator::Coordinator(std::unique_ptr<net::Transport> transport,
 
 Coordinator::~Coordinator() { StopHeartbeat(); }
 
-Result<net::Frame> Coordinator::CallWorker(const MeterSink& sink, int worker,
-                                           const net::Frame& req) {
-  Result<net::Frame> resp = transport_->Call(worker, req);
+Result<net::Frame> Coordinator::CallWorker(
+    const MeterSink& sink, int worker, const net::Frame& req,
+    const std::vector<net::ByteView>& tail, net::CallStamps* stamps) {
+  Result<net::Frame> resp = transport_->Call(worker, req, tail, stamps);
   if (!resp.ok()) return resp;
   // Meter only completed round trips: a torn connection's partial bytes
   // are unknowable, and the retry's successful frames get counted.
-  sink.Add(Counter::kDistBytesSent, net::EncodedSize(req));
+  sink.Add(Counter::kDistBytesSent,
+           net::EncodedSize(req) + net::PiecesSize(tail));
   sink.Add(Counter::kDistBytesReceived, net::EncodedSize(resp.value()));
+  sink.Add(Counter::kDistRpcs, 1);
   const Status carried = StatusFromFrame(resp.value());
   if (!carried.ok()) return carried;
   return resp;
 }
 
+void Coordinator::Backoff(int attempt, int64_t* delay_us) const {
+  if (attempt >= opts_.max_attempts || *delay_us <= 0) return;
+  std::this_thread::sleep_for(std::chrono::microseconds(
+      std::min<int64_t>(*delay_us, opts_.retry_max_delay_us)));
+  *delay_us *= 2;
+}
+
 Result<net::Frame> Coordinator::CallExecutor(const MeterSink& sink,
                                              int executor,
-                                             const net::Frame& req) {
+                                             const net::Frame& req,
+                                             net::CallStamps* stamps) {
   int64_t delay_us = opts_.retry_base_delay_us;
   for (int attempt = 1; attempt <= opts_.max_attempts; ++attempt) {
     SAC_ASSIGN_OR_RETURN(const int worker, WorkerOf(executor));
-    Result<net::Frame> resp = CallWorker(sink, worker, req);
+    Result<net::Frame> resp = CallWorker(sink, worker, req, {}, stamps);
     if (resp.ok()) return resp;
     if (resp.status().code() != StatusCode::kUnavailable) return resp;
     // The owner is gone; placement re-routes this executor onto a
     // survivor, and the next attempt targets that worker.
     MarkDead(worker, resp.status().message());
-    if (attempt < opts_.max_attempts && delay_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          std::min<int64_t>(delay_us, opts_.retry_max_delay_us)));
-      delay_us *= 2;
-    }
+    Backoff(attempt, &delay_us);
   }
   return Status::Unavailable("rpc to executor " + std::to_string(executor) +
                              " failed after " +
@@ -127,39 +173,83 @@ bool Coordinator::MarkDead(int worker, const std::string& why) {
   return true;
 }
 
-Status Coordinator::PushBucket(const MeterSink& sink, const BucketId& id,
-                               int dest_executor,
-                               const std::vector<uint8_t>& bytes) {
+Status Coordinator::PutBatch(const MeterSink& sink, int worker,
+                             const std::vector<const OutgoingBucket*>& run) {
+  WireSpans spans(tracer_);
+  std::vector<BucketBytes> batch;
+  batch.reserve(run.size());
+  for (const OutgoingBucket* b : run) batch.push_back(b->bucket);
   net::Frame req;
-  req.type = kPutBucket;
-  req.payload.reserve(kBucketIdBytes + bytes.size());
-  ByteWriter w(&req.payload);
-  EncodeBucketId(id, &w);
-  w.PutRaw(bytes.data(), bytes.size());
+  req.type = kPutBuckets;
+  const std::vector<net::ByteView> tail = EncodePutBuckets(batch, &req.payload);
   SAC_ASSIGN_OR_RETURN(net::Frame resp,
-                       CallExecutor(sink, dest_executor, req));
-  if (resp.type != kPutBucketOk) {
+                       CallWorker(sink, worker, req, tail, spans.stamps()));
+  if (resp.type != kPutBucketsOk) {
     return Status::DataLoss("unexpected response type " +
-                            std::to_string(resp.type) + " to PutBucket");
+                            std::to_string(resp.type) + " to PutBuckets");
   }
+  spans.Record(batch.size(), net::EncodedSize(req) + net::PiecesSize(tail) +
+                                 net::EncodedSize(resp));
   return Status::OK();
 }
 
-Result<std::vector<uint8_t>> Coordinator::FetchBucket(const MeterSink& sink,
-                                                      const BucketId& id,
-                                                      int dest_executor) {
-  net::Frame req;
-  req.type = kGetBucket;
-  req.payload.reserve(kBucketIdBytes);
-  ByteWriter w(&req.payload);
-  EncodeBucketId(id, &w);
-  SAC_ASSIGN_OR_RETURN(net::Frame resp,
-                       CallExecutor(sink, dest_executor, req));
-  if (resp.type != kGetBucketOk) {
-    return Status::DataLoss("unexpected response type " +
-                            std::to_string(resp.type) + " to GetBucket");
+Status Coordinator::PushBuckets(const MeterSink& sink,
+                                const std::vector<OutgoingBucket>& buckets) {
+  std::vector<const OutgoingBucket*> pending;
+  pending.reserve(buckets.size());
+  for (const OutgoingBucket& b : buckets) pending.push_back(&b);
+  const auto bytes_of = [](const OutgoingBucket* b) {
+    return b->bucket.bytes->size();
+  };
+  int64_t delay_us = opts_.retry_base_delay_us;
+  for (int attempt = 1; attempt <= opts_.max_attempts; ++attempt) {
+    // One batch per worker under the current placement; a dead worker's
+    // buckets go round again, re-placed onto the survivors.
+    std::map<int, std::vector<const OutgoingBucket*>> by_worker;
+    for (const OutgoingBucket* b : pending) {
+      SAC_ASSIGN_OR_RETURN(const int worker, WorkerOf(b->executor));
+      by_worker[worker].push_back(b);
+    }
+    std::vector<const OutgoingBucket*> failed;
+    for (const auto& [worker, group] : by_worker) {
+      Status st = Status::OK();
+      for (const auto& run : SplitBatches(group, bytes_of)) {
+        st = PutBatch(sink, worker, run);
+        if (!st.ok()) break;
+      }
+      if (st.ok()) continue;
+      if (st.code() != StatusCode::kUnavailable) return st;
+      MarkDead(worker, st.message());
+      failed.insert(failed.end(), group.begin(), group.end());
+    }
+    if (failed.empty()) return Status::OK();
+    pending = std::move(failed);
+    Backoff(attempt, &delay_us);
   }
-  return std::move(resp.payload);
+  return Status::Unavailable("push of " + std::to_string(pending.size()) +
+                             " buckets failed after " +
+                             std::to_string(opts_.max_attempts) +
+                             " attempts");
+}
+
+Result<Coordinator::FetchedBuckets> Coordinator::FetchBuckets(
+    const MeterSink& sink, int executor, const std::vector<BucketId>& ids) {
+  WireSpans spans(tracer_);
+  net::Frame req;
+  req.type = kGetBuckets;
+  EncodeGetBuckets(ids, &req.payload);
+  SAC_ASSIGN_OR_RETURN(net::Frame resp,
+                       CallExecutor(sink, executor, req, spans.stamps()));
+  if (resp.type != kGetBucketsOk) {
+    return Status::DataLoss("unexpected response type " +
+                            std::to_string(resp.type) + " to GetBuckets");
+  }
+  FetchedBuckets out;
+  SAC_ASSIGN_OR_RETURN(out.buckets,
+                       DecodeGetBucketsReply(resp.payload, ids.size()));
+  spans.Record(ids.size(), net::EncodedSize(req) + net::EncodedSize(resp));
+  out.payload = std::move(resp.payload);
+  return out;
 }
 
 void Coordinator::DropShuffle(uint64_t sid) {

@@ -12,16 +12,22 @@
 //    instant. RPC-level connection failures mark the worker dead
 //    immediately (the kill -9 case: the kernel answers RST long before
 //    the heartbeat would time out).
-//  * Bucket RPCs -- PushBucket / FetchBucket / DropShuffle with the PR4
-//    retry/backoff shape (base * 2^(k-1), capped, bounded attempts).
-//    A push retries against the re-placed owner and so survives any
-//    death as long as one worker lives; a fetch whose bucket died with
-//    its worker comes back DataLoss, the engine's signal to re-execute
-//    the map side from lineage (partitions_reexecuted).
+//  * Bucket RPCs -- PushBuckets / FetchBuckets / DropShuffle with the
+//    task retry/backoff shape (base * 2^(k-1), capped, bounded
+//    attempts). A push sends one kPutBuckets per destination worker and
+//    re-places a dead worker's share onto survivors, so it survives any
+//    death as long as one worker lives; a fetch sends one kGetBuckets
+//    and answers per bucket, and a bucket that died with its worker
+//    comes back missing -- the engine's signal to re-execute that
+//    bucket's map side from lineage (partitions_reexecuted).
 //
-// Wire traffic is metered into dist_bytes_sent / dist_bytes_received
-// through the caller's MeterSink; RPCs no stage asked for (connect,
-// heartbeat, drop) meter onto the engine totals only.
+// Wire traffic is metered into dist_bytes_sent / dist_bytes_received /
+// dist_rpcs through the caller's MeterSink; RPCs no stage asked for
+// (connect, heartbeat, drop) meter onto the engine totals only. With
+// the tracer on, every batched push and fetch records a "wire" span
+// under the running task, split into wire:encode (payload + header +
+// CRC), wire:call (transport round trip, the response's CRC check
+// included) and wire:decode (payload parse).
 #ifndef SAC_DIST_COORDINATOR_H_
 #define SAC_DIST_COORDINATOR_H_
 
@@ -30,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,19 +105,35 @@ class Coordinator {
   }
 
   // ---- bucket RPCs ----------------------------------------------------
-  /// Stores `bytes` as `id` on the worker hosting executor
-  /// `dest_executor`. Retries with backoff across deaths (re-placing
-  /// each attempt); fails only when no worker is left or attempts run
-  /// out.
-  Status PushBucket(const MeterSink& sink, const BucketId& id,
-                    int dest_executor, const std::vector<uint8_t>& bytes);
+  /// One bucket to push and the executor it is bound for (placement
+  /// picks the worker).
+  struct OutgoingBucket {
+    int executor = 0;
+    BucketBytes bucket;
+  };
 
-  /// Fetches `id` from the worker hosting executor `dest_executor`.
-  /// DataLoss means the bucket died with a worker: re-execute its map
-  /// side and re-push, then fetch again.
-  Result<std::vector<uint8_t>> FetchBucket(const MeterSink& sink,
-                                           const BucketId& id,
-                                           int dest_executor);
+  /// Stores every bucket on the worker hosting its executor, one
+  /// kPutBuckets RPC per worker (per kMaxBatchBytes of buckets). A
+  /// worker that turns out dead is marked so, and its share is re-placed
+  /// and retried with backoff; fails only when no worker is left or
+  /// attempts run out.
+  Status PushBuckets(const MeterSink& sink,
+                     const std::vector<OutgoingBucket>& buckets);
+
+  /// A batched fetch's answer: per requested id, in request order, the
+  /// slice of `payload` holding its bytes, or nullopt when the worker
+  /// does not host it (it died with a worker: re-execute its map side,
+  /// re-push, and fetch it again).
+  struct FetchedBuckets {
+    std::vector<uint8_t> payload;
+    std::vector<std::optional<Slice>> buckets;
+  };
+
+  /// Fetches `ids`, all bound for executor `executor`, in one
+  /// kGetBuckets RPC to the worker hosting it (retried across deaths).
+  /// The caller keeps a batch within kMaxBatchBytes (SplitBatches).
+  Result<FetchedBuckets> FetchBuckets(const MeterSink& sink, int executor,
+                                      const std::vector<BucketId>& ids);
 
   /// Frees shuffle `sid`'s buckets on every live worker. Best-effort:
   /// a dead worker's buckets died with it.
@@ -129,15 +152,25 @@ class Coordinator {
   bool MarkDead(int worker, const std::string& why);
 
  private:
-  /// One raw RPC to a fixed worker, metering wire bytes. kError frames
-  /// decode into their carried Status.
+  /// One raw RPC to a fixed worker, metering wire bytes and the RPC.
+  /// The request's payload continues in `tail` (see net::Transport).
+  /// kError frames decode into their carried Status. `stamps` (null
+  /// unless tracing) receives the transport's timing.
   Result<net::Frame> CallWorker(const MeterSink& sink, int worker,
-                                const net::Frame& req);
+                                const net::Frame& req,
+                                const std::vector<net::ByteView>& tail = {},
+                                net::CallStamps* stamps = nullptr);
   /// The RPC retry loop: resolve the executor's worker, call, and on an
   /// Unavailable answer mark the worker dead, back off, re-place, and
   /// try again. Non-Unavailable errors return immediately.
   Result<net::Frame> CallExecutor(const MeterSink& sink, int executor,
-                                  const net::Frame& req);
+                                  const net::Frame& req,
+                                  net::CallStamps* stamps);
+  /// One kPutBuckets RPC carrying `run` to `worker`, with its wire spans.
+  Status PutBatch(const MeterSink& sink, int worker,
+                  const std::vector<const OutgoingBucket*>& run);
+  /// Sleeps out retry `attempt`'s backoff (none after the last).
+  void Backoff(int attempt, int64_t* delay_us) const;
   void HeartbeatLoop();
 
   std::unique_ptr<net::Transport> transport_;

@@ -4,6 +4,9 @@
 // *count*), or a separate sac_worker process. It stores shuffle buckets
 // keyed by BucketId and answers the dist protocol; everything else --
 // placement, liveness, retries -- lives on the driver (coordinator).
+// A batched put keeps the payload buffer it received and stores slices
+// of it, and a batched fetch answers with those slices as its reply's
+// tail, so hosting and serving a bucket copy no bytes.
 //
 // Handle() is the single entry point and is thread-safe (a TcpServer
 // runs one service thread per connection). It never fails at the frame
@@ -13,9 +16,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
-#include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "src/dist/protocol.h"
 #include "src/net/frame.h"
@@ -26,7 +29,7 @@ class WorkerState {
  public:
   /// Serves one request frame. Unknown types and malformed payloads come
   /// back as kError frames (never a crash: the peer may be hostile).
-  net::Frame Handle(const net::Frame& req);
+  net::Reply Handle(net::Frame req);
 
   // ---- vitals (also reported via kPing) -------------------------------
   uint64_t num_buckets() const;
@@ -44,19 +47,25 @@ class WorkerState {
   void FailAfter(uint64_t n) {
     budget_.store(n, std::memory_order_release);
   }
-  /// Sleeps this long before serving each kPutBucket (sac_worker reads
-  /// SAC_WORKER_DELAY_US into it): stretches the shuffle window so a
-  /// chaos kill reliably lands mid-stream, and doubles as a crude slow-
-  /// network simulation.
+  /// Sleeps this long before storing each bucket of a kPutBuckets
+  /// (sac_worker reads SAC_WORKER_DELAY_US into it): per bucket, not per
+  /// RPC, so batching does not shorten the window. It stretches the
+  /// shuffle so a chaos kill reliably lands mid-stream, and doubles as a
+  /// crude slow-network simulation.
   void set_put_delay_us(int64_t us) {
     put_delay_us_.store(us, std::memory_order_release);
   }
 
  private:
-  Result<net::Frame> Dispatch(const net::Frame& req);
+  Result<net::Reply> Dispatch(net::Frame req);
+  Result<net::Reply> PutBuckets(std::vector<uint8_t> payload);
+  Result<net::Reply> GetBuckets(const std::vector<uint8_t>& payload);
 
   mutable std::mutex mu_;  // guards buckets_ / hosted_bytes_
-  std::unordered_map<std::string, std::vector<uint8_t>> buckets_;
+  // Each bucket is a slice of the put payload that carried it. Ordered
+  // by (shuffle_id, parent, src, dest): a shuffle's buckets are one key
+  // range.
+  std::map<BucketId, net::SharedSlice> buckets_;
   uint64_t hosted_bytes_ = 0;
 
   std::atomic<bool> shutdown_{false};

@@ -25,6 +25,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -48,13 +50,71 @@ inline constexpr size_t kFrameHeaderBytes = 24;
 /// header from driving a multi-gigabyte allocation.
 inline constexpr size_t kMaxFramePayload = 256u << 20;  // 256 MiB
 
-/// IEEE CRC-32 (the zlib polynomial), table-driven.
+/// IEEE CRC-32 (the zlib polynomial), slicing-by-8: eight table lookups
+/// per 8 input bytes, over three interleaved streams once the input is
+/// 4 KiB or more. Portable C++, no CPU dispatch.
 uint32_t Crc32(const uint8_t* data, size_t n);
+/// Continues a finished CRC-32 over `n` more bytes:
+/// Crc32Extend(Crc32(a), b) == Crc32(a followed by b).
+uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t n);
+
+/// Bytes a sender keeps alive until the frame carrying them is sent.
+struct ByteView {
+  const uint8_t* data = nullptr;
+  size_t size = 0;
+};
+
+/// Bytes inside a buffer whose ownership is shared: the slice keeps its
+/// buffer alive.
+struct SharedSlice {
+  std::shared_ptr<const std::vector<uint8_t>> buffer;
+  size_t offset = 0;
+  size_t size = 0;
+
+  const uint8_t* data() const { return buffer->data() + offset; }
+  ByteView view() const { return {data(), size}; }
+};
+
+/// A handler's response. On the wire its payload is `frame.payload`
+/// followed by the `tail` slices, so a worker answers a batched fetch
+/// with its stored buckets as the tail and they go to the socket without
+/// being copied into a reply buffer. Implicit from a Frame, so a handler
+/// may simply return one.
+struct Reply {
+  Reply() = default;
+  Reply(Frame f) : frame(std::move(f)) {}
+
+  Frame frame;
+  std::vector<SharedSlice> tail;
+};
 
 /// Bytes EncodeFrame will append for `f` (header + payload).
 inline size_t EncodedSize(const Frame& f) {
   return kFrameHeaderBytes + f.payload.size();
 }
+
+/// A payload as the pieces it is sent from, in wire order: the frame's
+/// own payload, then its tail. Either side of a call may carry a tail (a
+/// batched push's buckets, a batched fetch's answer).
+std::vector<ByteView> PayloadPieces(const Frame& f,
+                                    const std::vector<ByteView>& tail);
+std::vector<ByteView> PayloadPieces(const Reply& r);
+/// Total bytes of `pieces`.
+size_t PiecesSize(const std::vector<ByteView>& pieces);
+
+/// Writes the kFrameHeaderBytes-byte header of a frame whose payload is
+/// `pieces` back to back (the CRC runs over them here) to `out`.
+/// Transports send this header and the pieces as they are, so a payload
+/// is never copied into a contiguous wire buffer.
+void EncodeFrameHeader(uint32_t type, uint64_t seq,
+                       const std::vector<ByteView>& pieces, uint8_t* out);
+
+/// Wire bytes of `r` (header + payload + tail).
+size_t EncodedSize(const Reply& r);
+
+/// `r` as one frame, the tail copied after the payload: what the
+/// receiving end of a wire holds.
+Frame Flatten(Reply r);
 
 /// Appends the wire encoding of `f` (header + payload) to `*out`.
 void EncodeFrame(const Frame& f, std::vector<uint8_t>* out);
@@ -75,6 +135,8 @@ struct FrameHeader {
 Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t size,
                                       size_t max_payload = kMaxFramePayload);
 
+/// Verifies a payload whose CRC-32 is `crc` against the header's.
+Status CheckCrc(const FrameHeader& h, uint32_t crc);
 /// Verifies `payload` against the header's CRC.
 Status CheckPayloadCrc(const FrameHeader& h, const uint8_t* payload);
 

@@ -1,9 +1,12 @@
 // In-process Transport: peers are handler closures (each wrapping a
-// dist::WorkerState). Every Call still encodes the request to wire
-// bytes, decodes it, invokes the handler, and round-trips the response
-// through the codec too -- so the loopback path exercises the exact
-// framing, CRC checking, and byte accounting the TCP path does, and the
-// two are interchangeable under tests (docs/DISTRIBUTED.md). This is the
+// dist::WorkerState). Every Call still encodes and validates a frame
+// header (magic, length, payload CRC) in both directions, as the TCP
+// path does, so the two have identical framing, CRC checking and byte
+// accounting and are interchangeable under tests (docs/DISTRIBUTED.md).
+// Only the socket is missing: the request payload is copied once, into
+// the frame the handler owns (the bytes a TCP worker would have read),
+// and the reply moves back, its tail copied after its payload (the
+// bytes the TCP driver would have read). This is the
 // default transport: with no workers configured the engine never builds
 // one, and with SAC_WORKERS=<n> it reproduces single-process results
 // bit-for-bit while hosting shuffle buckets in worker objects.
@@ -11,7 +14,6 @@
 #define SAC_NET_LOOPBACK_H_
 
 #include <atomic>
-#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -21,10 +23,7 @@ namespace sac::net {
 
 class LoopbackTransport : public Transport {
  public:
-  /// A peer's service function: one decoded request in, one response
-  /// frame out. Protocol-level errors travel inside the returned frame
-  /// (dist::MsgType::kError), never as exceptions.
-  using Handler = std::function<Frame(const Frame&)>;
+  using Handler = net::Handler;
 
   /// Registers a peer; returns its index. Call before the first Call().
   int AddPeer(Handler handler);
@@ -35,7 +34,10 @@ class LoopbackTransport : public Transport {
 
   const char* name() const override { return "loopback"; }
   int num_peers() const override;
-  Result<Frame> Call(int peer, const Frame& request) override;
+  using Transport::Call;
+  Result<Frame> Call(int peer, const Frame& request,
+                     const std::vector<ByteView>& tail,
+                     CallStamps* stamps) override;
   uint64_t bytes_sent() const override {
     return sent_.load(std::memory_order_relaxed);
   }

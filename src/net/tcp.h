@@ -1,10 +1,13 @@
 // TCP stream transport: length-prefixed frames (src/net/frame.h) over
-// POSIX sockets. TcpTransport is the driver side -- one connection pool
-// per peer, so repeated shuffle RPCs to the same worker reuse a warm
-// connection instead of paying a handshake per bucket. TcpServer is the
-// worker side -- an accept loop plus one service thread per connection,
-// each running read-frame / handle / write-frame until the peer hangs up
-// (tools/sac_worker wires it to a dist::WorkerState).
+// POSIX sockets. Both sides send a frame as header + payload (+ a
+// reply's tail) in one scatter-gather sendmsg and read the payload
+// straight into the frame they hand on, so no side assembles a
+// contiguous wire copy. TcpTransport is the driver side -- one
+// connection pool per peer, so repeated shuffle RPCs to the same worker
+// reuse a warm connection instead of paying a handshake per RPC.
+// TcpServer is the worker side -- an accept loop plus one service thread
+// per connection, each running read-frame / handle / write-frame until
+// the peer hangs up (tools/sac_worker wires it to a dist::WorkerState).
 //
 // Failure mapping (the coordinator's liveness logic keys off this):
 // every socket-level failure -- connect refused, reset, timeout, short
@@ -14,7 +17,6 @@
 #define SAC_NET_TCP_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,7 +34,7 @@ namespace sac::net {
 /// kError frames built by the dist layer).
 class TcpServer {
  public:
-  using Handler = std::function<Frame(const Frame&)>;
+  using Handler = net::Handler;
 
   explicit TcpServer(Handler handler) : handler_(std::move(handler)) {}
   ~TcpServer() { Stop(); }
@@ -85,7 +87,10 @@ class TcpTransport : public Transport {
   int num_peers() const override {
     return static_cast<int>(peers_.size());
   }
-  Result<Frame> Call(int peer, const Frame& request) override;
+  using Transport::Call;
+  Result<Frame> Call(int peer, const Frame& request,
+                     const std::vector<ByteView>& tail,
+                     CallStamps* stamps) override;
   uint64_t bytes_sent() const override {
     return sent_.load(std::memory_order_relaxed);
   }

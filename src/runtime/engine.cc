@@ -10,6 +10,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -327,7 +328,7 @@ Status Engine::SetupDistributed() {
       for (int i = 0; i < n; ++i) {
         dist::WorkerState* w = local_workers_[static_cast<size_t>(i)].get();
         auto server = std::make_unique<net::TcpServer>(
-            [w](const net::Frame& f) { return w->Handle(f); });
+            [w](net::Frame f) { return w->Handle(std::move(f)); });
         SAC_RETURN_NOT_OK(server->Start(0));
         addrs.push_back("127.0.0.1:" + std::to_string(server->port()));
         local_servers_.push_back(std::move(server));
@@ -337,7 +338,8 @@ Status Engine::SetupDistributed() {
       auto loopback = std::make_unique<net::LoopbackTransport>();
       for (int i = 0; i < n; ++i) {
         dist::WorkerState* w = local_workers_[static_cast<size_t>(i)].get();
-        loopback->AddPeer([w](const net::Frame& f) { return w->Handle(f); });
+        loopback->AddPeer(
+            [w](net::Frame f) { return w->Handle(std::move(f)); });
       }
       transport = std::move(loopback);
     }
@@ -379,21 +381,23 @@ Status Engine::SetupDistributed() {
 Status Engine::PushShuffleBuckets(const MeterSink& sink, uint64_t shuffle_id,
                                   int p, int src, ShuffleBuckets* bs) {
   const int num_dest = static_cast<int>(bs->remote_by_dest.size());
+  std::vector<dist::Coordinator::OutgoingBucket> out;
   for (int d = 0; d < num_dest; ++d) {
     if (bs->local_by_dest[d]) continue;  // zero-copy, stays in the driver
-    dist::BucketId id;
-    id.shuffle_id = shuffle_id;
-    id.parent = p;
-    id.src = src;
-    id.dest = d;
     // Empty buckets are pushed too: a missing bucket on the reduce side
     // then always means loss, never "nothing was sent".
-    SAC_RETURN_NOT_OK(coord_->PushBucket(sink, id, ExecutorOf(d),
-                                         *bs->remote_by_dest[d]));
-    // Release the driver-side buffer; the worker's copy is now the only
-    // one, so the reduce side must fetch it over the transport (and its
-    // loss with a dead worker is real loss, recovered from lineage).
-    bs->remote_by_dest[d] = PooledVec<uint8_t>();
+    out.push_back({ExecutorOf(d),
+                   {dist::BucketId{shuffle_id, p, src, d},
+                    &*bs->remote_by_dest[d]}});
+  }
+  if (out.empty()) return Status::OK();
+  SAC_RETURN_NOT_OK(coord_->PushBuckets(sink, out));
+  // Release the driver-side buffers; the workers' copies are now the
+  // only ones, so the reduce side must fetch them over the transport
+  // (and their loss with a dead worker is real loss, recovered from
+  // lineage).
+  for (const dist::Coordinator::OutgoingBucket& b : out) {
+    bs->remote_by_dest[b.bucket.id.dest] = PooledVec<uint8_t>();
   }
   return Status::OK();
 }
@@ -629,6 +633,7 @@ Status Engine::ParallelParts(const TaskContext& ctx, int n,
                            ctx.label + ":" + ctx.phase + "[" +
                                std::to_string(i) + "]",
                            "task", ctx.parent_span);
+    const trace::ParentScope under_task(span.id());
     Stopwatch sw;
     ctx.sink.Add(Counter::kTasksRun, 1);
     Status st = RunTaskWithRetry(ctx, static_cast<int>(i), fn);
@@ -1041,46 +1046,85 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
     reexec_epoch[key] = epoch;
     return Status::OK();
   };
-  auto fetch_bucket = [&](int p, int s, int d)
-      -> Result<std::vector<uint8_t>> {
-    dist::BucketId id;
-    id.shuffle_id = sid;
-    id.parent = p;
-    id.src = s;
-    id.dest = d;
+  // Gathers destination d's buckets that live on workers: one batched
+  // fetch (per kMaxBatchBytes), then lineage re-execution of exactly the
+  // (parent, src) pairs whose buckets came back missing, and a fetch of
+  // just those. The fetched bytes stay in `payloads`; `fetched` points
+  // into them.
+  using Fetched =
+      std::map<std::pair<int, int>, std::pair<const uint8_t*, size_t>>;
+  auto fetch_remote = [&](int d, std::vector<std::vector<uint8_t>>* payloads,
+                          Fetched* fetched) -> Status {
+    std::vector<dist::BucketId> want;
+    for (int p = 0; p < num_parents; ++p) {
+      for (int s = 0; s < static_cast<int>(buckets[p].size()); ++s) {
+        const ShuffleBuckets& bs = buckets[p][s];
+        if (!bs.local_by_dest[d] && !bs.remote_by_dest[d]) {
+          want.push_back(dist::BucketId{sid, p, s, d});
+        }
+      }
+    }
+    if (want.empty()) return Status::OK();
     const int max_rounds =
         std::max(config_.max_task_attempts, coord_->num_workers() + 1);
-    Status last = Status::OK();
-    for (int round = 0; round < max_rounds; ++round) {
-      Result<std::vector<uint8_t>> got =
-          coord_->FetchBucket(sink, id, ExecutorOf(d));
-      if (got.ok()) return got;
-      if (got.status().code() != StatusCode::kDataLoss) return got;
-      last = got.status();
-      SAC_RETURN_NOT_OK(reexecute_map_side(p, s));
+    // The map side recorded every bucket's size, so a batch that would
+    // outgrow one frame splits before it is sent.
+    const auto bytes_of = [&](const dist::BucketId& id) {
+      return buckets[id.parent][id.src].dest_bytes[d];
+    };
+    for (int round = 0; round < max_rounds && !want.empty(); ++round) {
+      std::vector<dist::BucketId> missing;
+      for (const auto& run : dist::SplitBatches(want, bytes_of)) {
+        SAC_ASSIGN_OR_RETURN(dist::Coordinator::FetchedBuckets got,
+                             coord_->FetchBuckets(sink, ExecutorOf(d), run));
+        for (size_t i = 0; i < run.size(); ++i) {
+          const std::optional<dist::Slice>& slice = got.buckets[i];
+          if (!slice) {
+            missing.push_back(run[i]);
+            continue;
+          }
+          // Moving the payload below keeps its heap buffer, so this
+          // pointer stays valid.
+          (*fetched)[{run[i].parent, run[i].src}] = {
+              got.payload.data() + slice->offset, slice->size};
+        }
+        payloads->push_back(std::move(got.payload));
+      }
+      for (const dist::BucketId& id : missing) {
+        SAC_RETURN_NOT_OK(reexecute_map_side(id.parent, id.src));
+      }
+      want = std::move(missing);
     }
-    return last.WithContext("still missing after lineage re-execution");
+    if (!want.empty()) {
+      return Status::DataLoss(want.front().ToString() +
+                              " still missing after lineage re-execution");
+    }
+    return Status::OK();
   };
 
   // Reduce side: drain this destination's buckets in deterministic
   // (parent, source-partition) order, then fold. Local buckets hand over
-  // their Values by move; in-memory remote buckets are deserialized; a
-  // released remote bucket (distributed mode pushed it) is fetched from
-  // its worker first. A (src, dest) bucket is entirely one route, and
-  // fetched bytes are the exact bytes the map side serialized, so the
-  // concatenation order -- and the result -- is identical on every path.
+  // their Values by move; in-memory remote buckets are deserialized;
+  // released remote buckets (distributed mode pushed them) are fetched
+  // from their worker first, in one batch. A (src, dest) bucket is
+  // entirely one route, and fetched bytes are the exact bytes the map
+  // side serialized, so the concatenation order -- and the result -- is
+  // identical on every path.
   const TaskContext reduce_ctx = ContextFor(ds, stage_span.id(), "reduce");
   auto reduce_one = [&](int d, int attempt) -> Status {
     // The post-shuffle fault point fires at the very top of the reduce
     // task: the shuffle output exists but nothing has been drained yet,
     // so a retry re-reads intact buckets. (All retryable failures of this
-    // task -- pre-run and post-shuffle -- precede the destructive drain
-    // below; real errors mid-drain are not retried.)
+    // task -- pre-run and post-shuffle -- precede the fetch and the
+    // destructive drain below; real errors there are not retried.)
     SAC_RETURN_NOT_OK(CheckFault(recovery::FaultPoint::kPostShuffle,
                                  reduce_ctx, d, attempt));
-    auto drain_bytes = [](const std::vector<uint8_t>& bytes,
+    std::vector<std::vector<uint8_t>> payloads;
+    Fetched fetched;
+    SAC_RETURN_NOT_OK(fetch_remote(d, &payloads, &fetched));
+    auto drain_bytes = [](const uint8_t* data, size_t size,
                           ValueVec* rows) -> Status {
-      ByteReader reader(bytes);
+      ByteReader reader(data, size);
       while (!reader.AtEnd()) {
         SAC_ASSIGN_OR_RETURN(Value v, Value::Deserialize(&reader));
         rows->push_back(std::move(v));
@@ -1097,16 +1141,17 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
           ValueVec& local = *bs.local_by_dest[d];
           for (Value& v : local) rows.push_back(std::move(v));
         } else if (bs.remote_by_dest[d]) {
-          SAC_RETURN_NOT_OK(drain_bytes(*bs.remote_by_dest[d], &rows));
+          const std::vector<uint8_t>& bytes = *bs.remote_by_dest[d];
+          SAC_RETURN_NOT_OK(drain_bytes(bytes.data(), bytes.size(), &rows));
         } else {
-          // The bucket lives on a worker (or died with one and gets
-          // rebuilt from lineage mid-fetch).
-          SAC_ASSIGN_OR_RETURN(std::vector<uint8_t> data,
-                               fetch_bucket(p, s, d));
-          SAC_RETURN_NOT_OK(drain_bytes(data, &rows));
+          const auto& [data, size] = fetched.at({p, s});
+          SAC_RETURN_NOT_OK(drain_bytes(data, size, &rows));
         }
       }
     }
+    // Drained: free the fetched bytes before the fold allocates its
+    // output.
+    payloads = {};
     Partition out;
     SAC_RETURN_NOT_OK(reduce_side(std::move(rows_a), std::move(rows_b), &out));
     return PublishPartition(ds, d, std::move(out));
@@ -1115,7 +1160,9 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
   Status st;
   if (only_dest >= 0) {
     // Lineage recovery of a single destination: still under the retry
-    // policy (ParallelParts is bypassed, so wrap explicitly).
+    // policy (ParallelParts is bypassed, so wrap explicitly), and its
+    // wire spans hang off this stage.
+    const trace::ParentScope under_stage(stage_span.id());
     st = RunTaskWithRetry(reduce_ctx, only_dest, reduce_one);
   } else {
     st = ParallelParts(reduce_ctx, num_dest, reduce_one);
@@ -1139,6 +1186,7 @@ Status Engine::ExecuteShuffle(DatasetImpl* ds, const MapSideFn& map_side,
                         static_cast<int64_t>(c.dist_bytes_sent));
       stage_span.AddArg("dist_bytes_received",
                         static_cast<int64_t>(c.dist_bytes_received));
+      stage_span.AddArg("dist_rpcs", static_cast<int64_t>(c.dist_rpcs));
     }
     SAC_LOG(Debug) << "stage #" << ds->stage_.id << " " << ds->label()
                    << (only_dest >= 0 ? " (recover)" : "") << ": "

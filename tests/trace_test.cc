@@ -1,10 +1,14 @@
 // Unit tests for the sac::trace layer: histograms, per-thread span
-// buffers and their merge, Chrome trace-event JSON export, plus the
-// Metrics::Snapshot and SAC_LOG_LEVEL satellites.
+// buffers and their merge, Chrome trace-event JSON export, the wire spans
+// of distributed shuffles, plus the Metrics::Snapshot and SAC_LOG_LEVEL
+// satellites.
 #include "src/common/trace.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +16,8 @@
 
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
+#include "src/common/profile.h"
+#include "src/runtime/engine.h"
 #include "tests/test_json.h"
 
 namespace sac::trace {
@@ -299,6 +305,140 @@ TEST(TracerTest, CounterEventsExportAsChromeCounterPhase) {
   EXPECT_EQ(events[0].At("args").At("in_flight_tasks").Int(), 4);
   EXPECT_FALSE(events[0].At("args").Has("id"));
   EXPECT_FALSE(events[0].At("args").Has("parent"));
+}
+
+TEST(TracerTest, CompleteRecordsCallerStampedInterval) {
+  Tracer t;
+  const uint64_t outer = t.Complete("outer", "wire", 0, 100, 250,
+                                    {{"bytes", 7}});
+  ASSERT_NE(outer, 0u);
+  EXPECT_NE(t.Complete("inner", "wire", outer, 120, 180), 0u);
+  std::vector<SpanRecord> spans = t.Drain();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].id, outer);
+  EXPECT_EQ(spans[0].start_us, 100u);
+  EXPECT_EQ(spans[0].dur_us, 150u);
+  ASSERT_EQ(spans[0].args.size(), 1u);
+  EXPECT_EQ(spans[0].args[0].value, 7);
+  EXPECT_EQ(spans[1].parent, outer);
+  EXPECT_EQ(spans[1].dur_us, 60u);
+
+  t.set_enabled(false);
+  EXPECT_EQ(t.Complete("off", "wire", 0, 1, 2), 0u);
+  EXPECT_EQ(t.size(), 0u);
+}
+
+TEST(TracerTest, ParentScopeNestsAndRestores) {
+  EXPECT_EQ(CurrentParent(), 0u);
+  {
+    ParentScope a(11);
+    EXPECT_EQ(CurrentParent(), 11u);
+    {
+      ParentScope b(22);
+      EXPECT_EQ(CurrentParent(), 22u);
+    }
+    EXPECT_EQ(CurrentParent(), 11u);
+  }
+  EXPECT_EQ(CurrentParent(), 0u);
+}
+
+/// Spans of one GroupByKey over 3 executors; `workers` as in
+/// ClusterConfig::workers ("" = single process, "3" = 3 loopback
+/// workers). The stage's counters land in `*stage`.
+std::vector<SpanRecord> GroupBySpans(const std::string& workers,
+                                     MetricsSnapshot* stage,
+                                     profile::Profile* prof) {
+  runtime::ClusterConfig cfg;
+  cfg.num_executors = 3;
+  cfg.cores_per_executor = 2;
+  cfg.default_parallelism = 6;
+  cfg.workers = workers;
+  cfg.transport = "loopback";
+  cfg.heartbeat_interval_ms = 0;
+  runtime::Engine eng(cfg);
+  runtime::ValueVec rows;
+  for (int i = 0; i < 300; ++i) {
+    rows.push_back(runtime::VPair(runtime::VInt(i % 11), runtime::VInt(i)));
+  }
+  auto out = eng.GroupByKey(eng.Parallelize(std::move(rows), 6));
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  for (const StageStatsSnapshot& s : eng.stages().Snapshot()) {
+    stage->Accumulate(s.counters);
+  }
+  auto parsed = profile::ParseProfile(eng.ProfileJson());
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (parsed.ok()) *prof = std::move(parsed).value();
+  return eng.tracer().Drain();
+}
+
+TEST(WireSpanTest, PresentOnLoopbackShuffleAbsentSingleProcess) {
+  MetricsSnapshot solo_stage;
+  profile::Profile solo_prof;
+  for (const SpanRecord& s : GroupBySpans("", &solo_stage, &solo_prof)) {
+    EXPECT_NE(s.category, "wire") << s.name;
+  }
+  for (const profile::StageProfile& st : solo_prof.stages) {
+    for (const profile::PhaseProfile& ph : st.phases) {
+      EXPECT_NE(ph.phase.rfind("wire", 0), 0u) << ph.phase;
+    }
+  }
+
+  MetricsSnapshot stage;
+  profile::Profile prof;
+  const std::vector<SpanRecord> spans = GroupBySpans("3", &stage, &prof);
+  std::map<uint64_t, const SpanRecord*> by_id;
+  for (const SpanRecord& s : spans) by_id[s.id] = &s;
+  std::map<uint64_t, std::vector<std::string>> parts;
+  uint64_t rpcs = 0, wire_bytes = 0;
+  for (const SpanRecord& s : spans) {
+    if (s.category != "wire") continue;
+    ASSERT_TRUE(by_id.count(s.parent)) << s.name << " has no parent";
+    const SpanRecord& parent = *by_id[s.parent];
+    if (s.name != "wire") {
+      // A part: inside its exchange.
+      EXPECT_EQ(parent.name, "wire");
+      EXPECT_GE(s.start_us, parent.start_us);
+      EXPECT_LE(s.start_us + s.dur_us, parent.start_us + parent.dur_us);
+      parts[s.parent].push_back(s.name);
+      continue;
+    }
+    // A whole exchange: under a shuffle-write or reduce task, carrying
+    // its bytes and bucket count.
+    ++rpcs;
+    EXPECT_EQ(parent.category, "task");
+    EXPECT_TRUE(parent.name.find(":shuffle-write[") != std::string::npos ||
+                parent.name.find(":reduce[") != std::string::npos)
+        << parent.name;
+    std::map<std::string, int64_t> args;
+    for (const SpanArg& a : s.args) args[a.key] = a.value;
+    EXPECT_GT(args["bytes"], 0);
+    EXPECT_GT(args["buckets"], 0);
+    wire_bytes += static_cast<uint64_t>(args["bytes"]);
+  }
+  EXPECT_GT(rpcs, 0u);
+  EXPECT_EQ(rpcs, stage.dist_rpcs);
+  EXPECT_EQ(wire_bytes, stage.dist_bytes_sent + stage.dist_bytes_received);
+  ASSERT_EQ(parts.size(), rpcs);
+  for (auto& [id, names] : parts) {
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"wire:call", "wire:decode",
+                                               "wire:encode"}));
+  }
+
+  // The profile rolls them up as the shuffle stage's wire phases.
+  uint64_t wire_phase_rpcs = 0;
+  std::set<std::string> wire_phases;
+  for (const profile::StageProfile& st : prof.stages) {
+    for (const profile::PhaseProfile& ph : st.phases) {
+      if (ph.phase.rfind("wire", 0) != 0) continue;
+      wire_phases.insert(ph.phase);
+      if (ph.phase == "wire") wire_phase_rpcs += ph.task_count;
+    }
+  }
+  EXPECT_EQ(wire_phase_rpcs, rpcs);
+  EXPECT_EQ(wire_phases, (std::set<std::string>{"wire", "wire:call",
+                                                "wire:decode",
+                                                "wire:encode"}));
 }
 
 TEST(StageRegistryTest, ReportStringGoldenLayout) {

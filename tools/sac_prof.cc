@@ -3,7 +3,8 @@
 //   sac_prof [summary] <profile.json>
 //       Human-readable summary: critical path with per-stage wall-clock
 //       attribution, top stages (total/self/task/exclusive time, task
-//       percentiles), phase breakdowns, joined counters, sampler stats.
+//       percentiles), phase breakdowns, joined counters, the wire time
+//       of distributed shuffles (encode / call / decode), sampler stats.
 //
 //   sac_prof check <profile.json> [--min-coverage <pct>]
 //       Gate mode for CI: exits non-zero unless the critical path is
@@ -44,6 +45,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -150,6 +152,29 @@ void PrintSummary(const profile::Profile& p) {
               static_cast<unsigned long long>(p.totals.evictions),
               static_cast<double>(p.totals.bytes_evicted) /
                   (1024.0 * 1024.0));
+
+  // Wire time of distributed shuffles, summed over stages: how much of
+  // the shuffle the RPCs took, and which part of them.
+  std::map<std::string, uint64_t> wire_busy_us;
+  for (const profile::StageProfile& s : p.stages) {
+    for (const profile::PhaseProfile& ph : s.phases) {
+      if (ph.phase.rfind("wire", 0) == 0) {
+        wire_busy_us[ph.phase] += ph.busy_us;
+      }
+    }
+  }
+  if (p.totals.dist_rpcs > 0 || !wire_busy_us.empty()) {
+    std::printf("wire: %llu RPCs, %.2f MB sent, %.2f MB received; busy "
+                "%.3f ms (encode %.3f, call %.3f, decode %.3f ms)\n",
+                static_cast<unsigned long long>(p.totals.dist_rpcs),
+                static_cast<double>(p.totals.dist_bytes_sent) /
+                    (1024.0 * 1024.0),
+                static_cast<double>(p.totals.dist_bytes_received) /
+                    (1024.0 * 1024.0),
+                Ms(wire_busy_us["wire"]), Ms(wire_busy_us["wire:encode"]),
+                Ms(wire_busy_us["wire:call"]),
+                Ms(wire_busy_us["wire:decode"]));
+  }
 
   if (!p.samples.empty()) {
     // Per-key min/max over the sampler time series.

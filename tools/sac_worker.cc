@@ -7,9 +7,11 @@
 // Usage: sac_worker [--port=N]        (N=0 or absent: kernel-assigned)
 //
 // Environment:
-//   SAC_WORKER_DELAY_US  sleep before serving each PutBucket; stretches
-//                        the shuffle window so a chaos kill lands
-//                        mid-stream (docs/DISTRIBUTED.md).
+//   SAC_WORKER_DELAY_US  sleep before storing each bucket of a batched
+//                        PutBuckets -- per bucket, not per RPC, so
+//                        batching does not shorten the window; stretches
+//                        the shuffle so a chaos kill lands mid-stream
+//                        (docs/DISTRIBUTED.md).
 //
 // Prints exactly one readiness line to stdout once the listener is live:
 //   sac_worker ready port=<port> pid=<pid>
@@ -25,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "src/dist/worker.h"
 #include "src/net/tcp.h"
@@ -54,7 +57,7 @@ int main(int argc, char** argv) {
   }
 
   sac::net::TcpServer server(
-      [&state](const sac::net::Frame& f) { return state.Handle(f); });
+      [&state](sac::net::Frame f) { return state.Handle(std::move(f)); });
   const sac::Status st = server.Start(port);
   if (!st.ok()) {
     std::fprintf(stderr, "sac_worker: %s\n", st.ToString().c_str());
