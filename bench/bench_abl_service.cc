@@ -17,8 +17,9 @@
 // serialized admission queued at least one client, the concurrent batch
 // is >= 2x faster than the serialized batch, and the plan cache shows
 // measurable compile savings (K repeat compiles: 1 miss + K-1 hits, and
-// the hit path beats the cold path). `--smoke` shrinks sizes and stall
-// delays for CI.
+// the hit path beats the cold path), and rebinding a same-shape input
+// before each compile still gives 1 miss + K-1 hits. `--smoke` shrinks
+// sizes and stall delays for CI.
 #include "bench/bench_common.h"
 
 #include <cstdlib>
@@ -208,6 +209,20 @@ int main(int argc, char** argv) {
     // measurable saving, not parity.
     expect(on_ms < 0.8 * off_ms,
            "plan cache shows no measurable compile-time saving");
+
+    // Rebind arm: a fresh same-shape A before each compile. A plan holds
+    // no data and its key only the binding shapes, so this is still
+    // 1 miss + K-1 hits.
+    ctx.ResetStats();
+    ctx.plan_cache().Clear();
+    for (int i = 0; i < kCompiles; ++i) {
+      ctx.Bind("A", ctx.RandomMatrix(n, n, block, 403 + i).value());
+      SAC_BENCH_CHECK(ctx.CompileCached(kMatmul));
+    }
+    const MetricsSnapshot rebind = ctx.metrics().Snapshot();
+    expect(rebind.plan_cache_misses == 1 &&
+               rebind.plan_cache_hits == static_cast<uint64_t>(kCompiles - 1),
+           "rebinding A to a same-shape matrix should hit the plan cache");
   }
 
   if (violations > 0) {

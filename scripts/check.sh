@@ -33,7 +33,8 @@
 #   8d. service: bench_abl_service --smoke (4 concurrent sessions must be
 #      >= 2x faster than serialized admission with byte-identical
 #      products, and the plan cache must show 1 miss + K-1 hits with
-#      measurable compile savings; docs/SERVICE.md)
+#      measurable compile savings, also when a same-shape input is
+#      rebound before each compile; docs/SERVICE.md)
 #   8e. distributed: bench_abl_transport --smoke (fig4b multiply over 3
 #      in-process workers: loopback and TCP products byte-identical to
 #      single-process, identical wire-byte accounting, bounded TCP

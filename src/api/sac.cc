@@ -92,17 +92,21 @@ void Sac::BindLocal(const std::string& name, Value v) {
 }
 void Sac::Unbind(const std::string& name) { binds_.erase(name); }
 
-Result<comp::ExprPtr> Sac::ParseAndNormalizeWith(
-    const std::string& src, const planner::Bindings& binds) {
-  SAC_ASSIGN_OR_RETURN(comp::ExprPtr e, comp::Parse(src));
+namespace {
+
+Result<comp::ExprPtr> NormalizeWith(const comp::ExprPtr& e,
+                                    const planner::Bindings& binds) {
   return comp::Normalize(e, [&binds](const std::string& name) {
     auto it = binds.find(name);
     return it != binds.end() && it->second.kind != Binding::Kind::kScalar;
   });
 }
 
+}  // namespace
+
 Result<comp::ExprPtr> Sac::ParseAndNormalize(const std::string& src) {
-  return ParseAndNormalizeWith(src, binds_);
+  SAC_ASSIGN_OR_RETURN(comp::ExprPtr e, comp::Parse(src));
+  return NormalizeWith(e, binds_);
 }
 
 Result<CompiledQuery> Sac::Compile(const std::string& src) {
@@ -111,13 +115,13 @@ Result<CompiledQuery> Sac::Compile(const std::string& src) {
 }
 
 Result<std::shared_ptr<const CompiledQuery>> Sac::CompileCachedWith(
-    const std::string& src, const planner::Bindings& binds,
-    Metrics* session_metrics) {
+    const std::string& text, const comp::ExprPtr& parsed,
+    const planner::Bindings& binds, Metrics* session_metrics) {
   // Key construction is cheap (no parse); skip it entirely when the
   // cache is disabled so the off-arm of the ablation measures the pure
   // compile path.
   const std::string key = plan_cache_.capacity() > 0
-                              ? planner::PlanCacheKey(src, binds, options_)
+                              ? planner::PlanCacheKey(text, binds, options_)
                               : std::string();
   const MeterSink sink(&engine_->metrics(), nullptr, session_metrics);
   if (!key.empty()) {
@@ -130,8 +134,12 @@ Result<std::shared_ptr<const CompiledQuery>> Sac::CompileCachedWith(
   // planner time, not just engine stages.
   Result<CompiledQuery> compiled = [&]() -> Result<CompiledQuery> {
     trace::ScopedSpan span(&engine_->tracer(), "compile", "compile");
-    SAC_ASSIGN_OR_RETURN(comp::ExprPtr e, ParseAndNormalizeWith(src, binds));
-    return planner::CompileQuery(e, binds, options_);
+    comp::ExprPtr e = parsed;
+    if (e == nullptr) {
+      SAC_ASSIGN_OR_RETURN(e, comp::Parse(text));
+    }
+    SAC_ASSIGN_OR_RETURN(comp::ExprPtr norm, NormalizeWith(e, binds));
+    return planner::CompileQuery(norm, binds, options_);
   }();
   SAC_RETURN_NOT_OK(compiled.status());
   auto q = std::make_shared<CompiledQuery>(std::move(compiled).value());
@@ -152,7 +160,7 @@ Result<std::shared_ptr<const CompiledQuery>> Sac::CompileCachedWith(
 
 Result<std::shared_ptr<const CompiledQuery>> Sac::CompileCached(
     const std::string& src) {
-  return CompileCachedWith(src, binds_, nullptr);
+  return CompileCachedWith(src, nullptr, binds_, nullptr);
 }
 
 Result<analysis::AnalysisReport> Sac::Analyze(const std::string& src) {
@@ -163,6 +171,30 @@ Result<analysis::AnalysisReport> Sac::Analyze(const std::string& src) {
 Result<std::string> Sac::Explain(const std::string& src) {
   SAC_ASSIGN_OR_RETURN(analysis::AnalysisReport report, Analyze(src));
   return report.Render("<query>");
+}
+
+Result<QueryResult> Sac::CompileAndRun(
+    const std::string& text, const comp::ExprPtr& parsed,
+    const planner::Bindings& binds, std::map<std::string, double>* predicted,
+    Metrics* session_metrics, std::shared_ptr<const CompiledQuery>* plan) {
+  SAC_ASSIGN_OR_RETURN(
+      std::shared_ptr<const CompiledQuery> q,
+      CompileCachedWith(text, parsed, binds, session_metrics));
+  RecordPredictions(*q, binds, predicted);
+  SAC_ASSIGN_OR_RETURN(QueryResult r, q->run(engine_.get(), binds));
+  // Post-run: the result's lineage and stage attributions must line up.
+  switch (r.kind) {
+    case QueryResult::Kind::kTiled:
+      SAC_RETURN_NOT_OK(engine_->VerifyLineage(r.tiled.tiles));
+      break;
+    case QueryResult::Kind::kBlockVector:
+      SAC_RETURN_NOT_OK(engine_->VerifyLineage(r.vec.blocks));
+      break;
+    case QueryResult::Kind::kValue:
+      break;
+  }
+  if (plan != nullptr) *plan = std::move(q);
+  return r;
 }
 
 Result<QueryResult> Sac::EvalImpl(
@@ -177,22 +209,7 @@ Result<QueryResult> Sac::EvalImpl(
   // Datasets materialized below attribute to this session (metrics,
   // memory slice, task queue) via the thread-local current session.
   runtime::Session::Scope scope(session);
-  SAC_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledQuery> q,
-                       CompileCachedWith(src, binds, session_metrics));
-  RecordPredictions(*q, binds, predicted);
-  SAC_ASSIGN_OR_RETURN(QueryResult r, q->run(engine_.get()));
-  // Post-run: the result's lineage and stage attributions must line up.
-  switch (r.kind) {
-    case QueryResult::Kind::kTiled:
-      SAC_RETURN_NOT_OK(engine_->VerifyLineage(r.tiled.tiles));
-      break;
-    case QueryResult::Kind::kBlockVector:
-      SAC_RETURN_NOT_OK(engine_->VerifyLineage(r.vec.blocks));
-      break;
-    case QueryResult::Kind::kValue:
-      break;
-  }
-  return r;
+  return CompileAndRun(src, nullptr, binds, predicted, session_metrics);
 }
 
 Result<QueryResult> Sac::Eval(const std::string& src) {
@@ -226,8 +243,7 @@ Result<double> Sac::EvalScalar(const std::string& src) {
 Result<std::vector<std::string>> Sac::EvalLoop(const std::string& src) {
   // One admission ticket covers the whole loop program: each update
   // rebinds the target the next update reads, so interleaving another
-  // query between updates buys nothing and the per-update compiles stay
-  // uncached (plans change with the rebound shapes anyway).
+  // query between updates buys nothing.
   runtime::AdmissionGate::Ticket ticket = engine_->AdmitQuery();
   SAC_ASSIGN_OR_RETURN(comp::LoopStmtPtr prog, comp::ParseLoopProgram(src));
   SAC_ASSIGN_OR_RETURN(
@@ -255,30 +271,15 @@ Result<std::vector<std::string>> Sac::EvalLoop(const std::string& src) {
       }));
   std::vector<std::string> report;
   for (const comp::TranslatedUpdate& u : updates) {
-    // Normalize + compile + run, then rebind the target.
-    const planner::Bindings& binds = binds_;
+    // Compile (cached, keyed on the translated comprehension) + run, then
+    // rebind the target. A rebound target keeps its shape, so every
+    // iteration after the first reuses the cached plan. The "<loop>"
+    // prefix never parses, so no Eval text can share these keys.
+    std::shared_ptr<const CompiledQuery> q;
     SAC_ASSIGN_OR_RETURN(
-        comp::ExprPtr norm,
-        comp::Normalize(u.query, [&binds](const std::string& name) {
-          auto it = binds.find(name);
-          return it != binds.end() &&
-                 it->second.kind != planner::Binding::Kind::kScalar;
-        }));
-    Result<CompiledQuery> loop_compiled = [&] {
-      trace::ScopedSpan span(&engine_->tracer(), "compile:" + u.target,
-                             "compile");
-      return planner::CompileQuery(norm, binds_, options_);
-    }();
-    SAC_RETURN_NOT_OK(loop_compiled.status());
-    CompiledQuery q = std::move(loop_compiled).value();
-    if (u.in_loop) {
-      // Loop-body plans recompile and re-run every iteration; the
-      // analyzer's cache rules (SAC-W02) key off this flag.
-      for (const planner::PlanNodePtr& n : q.plan_nodes) n->in_loop = true;
-    }
-    SAC_RETURN_NOT_OK(analysis::VerifyPlan(analysis::PlanGraph::FromQuery(q)));
-    RecordPredictions(q, binds_, &predicted_shuffle_bytes_);
-    SAC_ASSIGN_OR_RETURN(QueryResult r, q.run(engine_.get()));
+        QueryResult r,
+        CompileAndRun("<loop> " + u.query->ToString(), u.query, binds_,
+                      &predicted_shuffle_bytes_, nullptr, &q));
     switch (r.kind) {
       case QueryResult::Kind::kTiled:
         Bind(u.target, std::move(r.tiled));
@@ -317,8 +318,8 @@ Result<std::vector<std::string>> Sac::EvalLoop(const std::string& src) {
       }
     }
     report.push_back(u.target + " <- " +
-                     planner::StrategyName(q.strategy) + ": " +
-                     q.explanation);
+                     planner::StrategyName(q->strategy) + ": " +
+                     q->explanation);
   }
   return report;
 }

@@ -144,9 +144,10 @@ class Sac {
 
   /// Compiles through the plan cache: a repeat of the same normalized
   /// source against the same binding shapes returns the cached plan
-  /// without parsing or planning. Meters plan_cache_hits / _misses /
-  /// _evictions on the engine Metrics. This is the compile path Eval
-  /// uses; exposed for the service ablation bench and tests.
+  /// without parsing or planning, whatever datasets are bound. Meters
+  /// plan_cache_hits / _misses / _evictions on the engine Metrics. This
+  /// is the compile path Eval uses; exposed for the service ablation
+  /// bench and tests.
   Result<std::shared_ptr<const planner::CompiledQuery>> CompileCached(
       const std::string& src);
 
@@ -214,21 +215,28 @@ class Sac {
                          const planner::Bindings& binds,
                          std::map<std::string, double>* predicted);
 
-  /// ParseAndNormalize against an explicit binding namespace.
-  Result<comp::ExprPtr> ParseAndNormalizeWith(const std::string& src,
-                                              const planner::Bindings& binds);
-
-  /// The shared compile path: plan-cache key -> lookup -> on miss, parse
-  /// + plan + VerifyPlan + insert. Hit/miss/eviction counters are
-  /// metered on the engine Metrics and, when non-null, on
+  /// The one compile path: plan-cache key -> lookup -> on miss, parse
+  /// + normalize + plan + VerifyPlan + insert. `text` keys the cache;
+  /// `parsed`, when non-null, is the comprehension `text` stands for and
+  /// is compiled on a miss instead of parsing `text`. Hit/miss/eviction
+  /// counters are metered on the engine Metrics and, when non-null, on
   /// `session_metrics` too.
   Result<std::shared_ptr<const planner::CompiledQuery>> CompileCachedWith(
-      const std::string& src, const planner::Bindings& binds,
-      Metrics* session_metrics);
+      const std::string& text, const comp::ExprPtr& parsed,
+      const planner::Bindings& binds, Metrics* session_metrics);
+
+  /// The one compile-and-run path, taken after admission by Eval,
+  /// Session::Eval and each EvalLoop update: cached compile -> shuffle
+  /// predictions -> run against `binds` -> lineage verification. The plan
+  /// that ran is stored in `*plan` when non-null.
+  Result<planner::QueryResult> CompileAndRun(
+      const std::string& text, const comp::ExprPtr& parsed,
+      const planner::Bindings& binds, std::map<std::string, double>* predicted,
+      Metrics* session_metrics,
+      std::shared_ptr<const planner::CompiledQuery>* plan = nullptr);
 
   /// The shared eval path behind Sac::Eval and Session::Eval: admission
-  /// ticket -> Session::Scope -> cached compile -> run -> lineage
-  /// verification.
+  /// ticket -> Session::Scope -> CompileAndRun.
   Result<planner::QueryResult> EvalImpl(
       const std::string& src, const planner::Bindings& binds,
       std::map<std::string, double>* predicted,

@@ -1,8 +1,10 @@
 #include "src/comp/ast.h"
 
 #include <algorithm>
+#include <charconv>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -266,10 +268,15 @@ std::string Expr::ToString() const {
     case Kind::kIntLit:
       os << int_val;
       break;
-    case Kind::kDoubleLit:
-      os << double_val;
+    case Kind::kDoubleLit: {
+      // Shortest round-trip form: the text identifies the value exactly,
+      // so printed queries are sound plan-cache keys.
+      char buf[32];
+      const auto r = std::to_chars(buf, buf + sizeof(buf), double_val);
+      os << std::string_view(buf, r.ptr - buf);
       if (double_val == static_cast<int64_t>(double_val)) os << ".0";
       break;
+    }
     case Kind::kBoolLit:
       os << (bool_val ? "true" : "false");
       break;

@@ -1,7 +1,6 @@
 #include "src/exec/scalar_fn.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "src/exec/scalar_program.h"
@@ -25,180 +24,17 @@ int FindArg(const std::vector<std::string>& args, const std::string& name) {
   return it == args.end() ? -1 : static_cast<int>(it - args.begin());
 }
 
-/// Closure-tree compiler: one std::function per AST node. Kept as the
-/// fallback for expressions ScalarProgram rejects (e.g. ones deeper than
-/// its fixed evaluation stack).
-Result<ScalarFn> CompileTree(const ExprPtr& e,
-                             const std::vector<std::string>& args,
-                             const ConstEnv& consts) {
-  switch (e->kind) {
-    case Expr::Kind::kIntLit: {
-      const double v = static_cast<double>(e->int_val);
-      return ScalarFn([v](const double*) { return v; });
-    }
-    case Expr::Kind::kDoubleLit: {
-      const double v = e->double_val;
-      return ScalarFn([v](const double*) { return v; });
-    }
-    case Expr::Kind::kVar: {
-      const int slot = FindArg(args, e->str_val);
-      if (slot >= 0) {
-        return ScalarFn([slot](const double* a) { return a[slot]; });
-      }
-      auto it = consts.find(e->str_val);
-      if (it != consts.end()) {
-        const double v = it->second;
-        return ScalarFn([v](const double*) { return v; });
-      }
-      return Unsupported(e, "unbound scalar variable");
-    }
-    case Expr::Kind::kUnary: {
-      if (e->un_op != UnOp::kNeg) return Unsupported(e, "boolean negation");
-      SAC_ASSIGN_OR_RETURN(ScalarFn f,
-                           CompileTree(e->children[0], args, consts));
-      return ScalarFn([f](const double* a) { return -f(a); });
-    }
-    case Expr::Kind::kBinary: {
-      SAC_ASSIGN_OR_RETURN(ScalarFn l,
-                           CompileTree(e->children[0], args, consts));
-      SAC_ASSIGN_OR_RETURN(ScalarFn r,
-                           CompileTree(e->children[1], args, consts));
-      switch (e->bin_op) {
-        case BinOp::kAdd:
-          return ScalarFn([l, r](const double* a) { return l(a) + r(a); });
-        case BinOp::kSub:
-          return ScalarFn([l, r](const double* a) { return l(a) - r(a); });
-        case BinOp::kMul:
-          return ScalarFn([l, r](const double* a) { return l(a) * r(a); });
-        case BinOp::kDiv:
-          return ScalarFn([l, r](const double* a) { return l(a) / r(a); });
-        case BinOp::kMod:
-          return ScalarFn(
-              [l, r](const double* a) { return std::fmod(l(a), r(a)); });
-        default:
-          return Unsupported(e, "comparison outside if-condition");
-      }
-    }
-    case Expr::Kind::kIf: {
-      // Condition: numeric comparison (or && / || of them).
-      const ExprPtr& cond = e->children[0];
-      std::function<bool(const double*)> pred;
-      {
-        // Compile a small boolean fragment over doubles.
-        std::function<Result<std::function<bool(const double*)>>(
-            const ExprPtr&)>
-            compile_pred = [&](const ExprPtr& c)
-            -> Result<std::function<bool(const double*)>> {
-          if (c->kind == Expr::Kind::kBoolLit) {
-            const bool v = c->bool_val;
-            return std::function<bool(const double*)>(
-                [v](const double*) { return v; });
-          }
-          if (c->kind == Expr::Kind::kUnary && c->un_op == UnOp::kNot) {
-            SAC_ASSIGN_OR_RETURN(auto inner, compile_pred(c->children[0]));
-            return std::function<bool(const double*)>(
-                [inner](const double* a) { return !inner(a); });
-          }
-          if (c->kind != Expr::Kind::kBinary) {
-            return Unsupported(c, "if-condition");
-          }
-          if (c->bin_op == BinOp::kAnd || c->bin_op == BinOp::kOr) {
-            SAC_ASSIGN_OR_RETURN(auto l, compile_pred(c->children[0]));
-            SAC_ASSIGN_OR_RETURN(auto r, compile_pred(c->children[1]));
-            const bool is_and = c->bin_op == BinOp::kAnd;
-            return std::function<bool(const double*)>(
-                [l, r, is_and](const double* a) {
-                  return is_and ? (l(a) && r(a)) : (l(a) || r(a));
-                });
-          }
-          SAC_ASSIGN_OR_RETURN(ScalarFn l,
-                               CompileTree(c->children[0], args, consts));
-          SAC_ASSIGN_OR_RETURN(ScalarFn r,
-                               CompileTree(c->children[1], args, consts));
-          const BinOp op = c->bin_op;
-          return std::function<bool(const double*)>(
-              [l, r, op](const double* a) {
-                const double x = l(a), y = r(a);
-                switch (op) {
-                  case BinOp::kEq: return x == y;
-                  case BinOp::kNe: return x != y;
-                  case BinOp::kLt: return x < y;
-                  case BinOp::kLe: return x <= y;
-                  case BinOp::kGt: return x > y;
-                  case BinOp::kGe: return x >= y;
-                  default: return false;
-                }
-              });
-        };
-        SAC_ASSIGN_OR_RETURN(pred, compile_pred(cond));
-      }
-      SAC_ASSIGN_OR_RETURN(ScalarFn t,
-                           CompileTree(e->children[1], args, consts));
-      SAC_ASSIGN_OR_RETURN(ScalarFn f,
-                           CompileTree(e->children[2], args, consts));
-      return ScalarFn(
-          [pred, t, f](const double* a) { return pred(a) ? t(a) : f(a); });
-    }
-    case Expr::Kind::kCall: {
-      const std::string& fn = e->str_val;
-      std::vector<ScalarFn> cargs;
-      for (const auto& c : e->children) {
-        SAC_ASSIGN_OR_RETURN(ScalarFn f, CompileTree(c, args, consts));
-        cargs.push_back(std::move(f));
-      }
-      if (fn == "abs" && cargs.size() == 1) {
-        auto f = cargs[0];
-        return ScalarFn([f](const double* a) { return std::fabs(f(a)); });
-      }
-      if (fn == "sqrt" && cargs.size() == 1) {
-        auto f = cargs[0];
-        return ScalarFn([f](const double* a) { return std::sqrt(f(a)); });
-      }
-      if (fn == "exp" && cargs.size() == 1) {
-        auto f = cargs[0];
-        return ScalarFn([f](const double* a) { return std::exp(f(a)); });
-      }
-      if (fn == "log" && cargs.size() == 1) {
-        auto f = cargs[0];
-        return ScalarFn([f](const double* a) { return std::log(f(a)); });
-      }
-      if (fn == "pow" && cargs.size() == 2) {
-        auto f = cargs[0], g = cargs[1];
-        return ScalarFn(
-            [f, g](const double* a) { return std::pow(f(a), g(a)); });
-      }
-      if (fn == "min" && cargs.size() == 2) {
-        auto f = cargs[0], g = cargs[1];
-        return ScalarFn(
-            [f, g](const double* a) { return std::min(f(a), g(a)); });
-      }
-      if (fn == "max" && cargs.size() == 2) {
-        auto f = cargs[0], g = cargs[1];
-        return ScalarFn(
-            [f, g](const double* a) { return std::max(f(a), g(a)); });
-      }
-      if (fn == "toDouble" && cargs.size() == 1) return cargs[0];
-      return Unsupported(e, "function call");
-    }
-    default:
-      return Unsupported(e, "expression");
-  }
-}
-
 }  // namespace
 
 Result<ScalarFn> CompileScalarFn(const ExprPtr& e,
                                  const std::vector<std::string>& args,
                                  const ConstEnv& consts) {
-  // Program first: a flat postfix program costs one indirect call per
-  // element instead of one per AST node (src/exec/scalar_program.h). The
-  // closure tree only runs for expressions the program compiler rejects.
-  Result<ScalarProgram> prog = ScalarProgram::Compile(e, args, consts);
-  if (prog.ok()) {
-    auto p = std::make_shared<ScalarProgram>(std::move(prog).value());
-    return ScalarFn([p](const double* a) { return p->Eval(a); });
-  }
-  return CompileTree(e, args, consts);
+  // A flat postfix program costs one indirect call per element instead
+  // of one per AST node (src/exec/scalar_program.h).
+  SAC_ASSIGN_OR_RETURN(ScalarProgram prog,
+                       ScalarProgram::Compile(e, args, consts));
+  auto p = std::make_shared<ScalarProgram>(std::move(prog));
+  return ScalarFn([p](const double* a) { return p->Eval(a); });
 }
 
 Result<IntFn> CompileIntFn(const ExprPtr& e,

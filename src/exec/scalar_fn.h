@@ -5,7 +5,7 @@
 // with no interpretation overhead beyond one indirect call per element.
 //
 // Three closure families:
-//  * ScalarFn -- double(args)  for element values
+//  * ScalarFn -- double(args)  for element values (a ScalarProgram)
 //  * IntFn    -- int64(args)   for index arithmetic (true integer / and %)
 //  * PredFn   -- bool(int args)  for index guards
 //

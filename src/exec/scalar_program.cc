@@ -25,8 +25,8 @@ int FindArg(const std::vector<std::string>& args, const std::string& name) {
 using Op = ScalarProgram::Op;
 using Instr = ScalarProgram::Instr;
 
-/// Emits postfix code for `e` into *code, tracking stack depth so
-/// overflow is a compile failure rather than an Eval-time one.
+/// Emits postfix code for `e` into *code, tracking the deepest operand
+/// stack the program reaches so Eval can size its stack.
 class Emitter {
  public:
   Emitter(const std::vector<std::string>& args,
@@ -135,13 +135,12 @@ class Emitter {
   }
 
   std::vector<Instr> Take() { return std::move(code_); }
+  int max_depth() const { return max_depth_; }
 
  private:
   Status Push(Op op, int32_t slot, double imm) {
     code_.push_back(Instr{op, slot, imm});
-    if (++depth_ > ScalarProgram::kMaxStack) {
-      return Status::PlanError("scalar expression too deep for program");
-    }
+    max_depth_ = std::max(max_depth_, ++depth_);
     return Status::OK();
   }
 
@@ -155,6 +154,7 @@ class Emitter {
   const std::unordered_map<std::string, double>& consts_;
   std::vector<Instr> code_;
   int depth_ = 0;
+  int max_depth_ = 0;
 };
 
 }  // namespace
@@ -166,11 +166,20 @@ Result<ScalarProgram> ScalarProgram::Compile(
   SAC_RETURN_NOT_OK(em.EmitNumeric(e));
   ScalarProgram p;
   p.code_ = em.Take();
+  p.max_depth_ = em.max_depth();
   return p;
 }
 
 double ScalarProgram::Eval(const double* args) const {
-  double stack[kMaxStack];
+  if (max_depth_ <= kInlineStack) {
+    double stack[kInlineStack];
+    return Run(args, stack);
+  }
+  std::vector<double> stack(max_depth_);
+  return Run(args, stack.data());
+}
+
+double ScalarProgram::Run(const double* args, double* stack) const {
   int sp = 0;
   for (const Instr& in : code_) {
     switch (in.op) {

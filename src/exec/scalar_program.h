@@ -1,17 +1,18 @@
-// Flat register/stack programs for element-level expressions. The
-// closure-tree compiler in scalar_fn.cc pays one indirect call (and one
-// std::function dispatch) per AST node per element; for a chain like
-// fig4c's `p - gamma*(g + lambda*p)` that is ~7 indirections per element.
-// A ScalarProgram is the same expression compiled once into a flat
-// postfix instruction vector evaluated by a single switch loop over a
-// fixed stack -- one indirect call per *element*, not per node, which is
-// as close to the paper's "macro-generated Scala loop body" as a
-// library-level C++ stand-in gets.
+// Flat register/stack programs for element-level expressions: the one
+// scalar evaluator behind CompileScalarFn. A closure tree would pay one
+// indirect call (and one std::function dispatch) per AST node per
+// element; for a chain like fig4c's `p - gamma*(g + lambda*p)` that is ~7
+// indirections per element. A ScalarProgram is the expression compiled
+// once into a flat postfix instruction vector evaluated by a single
+// switch loop over an operand stack -- one indirect call per *element*,
+// not per node, which is as close to the paper's "macro-generated Scala
+// loop body" as a library-level C++ stand-in gets.
 //
-// Semantics match the tree compiler exactly except that if-then-else
-// evaluates both branches and selects (kSelect). Both branches are pure
-// arithmetic in the supported fragment, so the discarded branch has no
-// observable effect and the selected value is bit-identical.
+// Semantics match the reference evaluator (comp::Evaluator) except that
+// if-then-else evaluates both branches and selects (kSelect). Both
+// branches are pure arithmetic in the supported fragment, so the
+// discarded branch has no observable effect and the selected value is
+// bit-identical.
 #ifndef SAC_EXEC_SCALAR_PROGRAM_H_
 #define SAC_EXEC_SCALAR_PROGRAM_H_
 
@@ -45,13 +46,15 @@ class ScalarProgram {
     double imm = 0.0;   // kConst
   };
 
-  /// Deepest operand stack Eval supports; Compile rejects programs that
-  /// would exceed it (callers fall back to the closure tree).
-  static constexpr int kMaxStack = 64;
+  /// Operand stacks up to this depth live in a fixed array on the
+  /// machine stack; deeper programs get a heap stack of their exact
+  /// depth per Eval.
+  static constexpr int kInlineStack = 64;
 
-  /// Compiles the same fragment CompileScalarFn accepts (plus boolean
-  /// subexpressions inside if-conditions). PlanError on anything outside
-  /// the fragment or deeper than kMaxStack.
+  /// Compiles the fragment CompileScalarFn accepts (numeric expressions
+  /// plus boolean subexpressions inside if-conditions), recording the
+  /// deepest operand stack the program needs. PlanError on anything
+  /// outside the fragment.
   static Result<ScalarProgram> Compile(
       const comp::ExprPtr& e, const std::vector<std::string>& args,
       const std::unordered_map<std::string, double>& consts);
@@ -60,9 +63,15 @@ class ScalarProgram {
 
   size_t size() const { return code_.size(); }
   const std::vector<Instr>& code() const { return code_; }
+  /// Deepest operand stack Eval uses.
+  int max_depth() const { return max_depth_; }
 
  private:
+  /// Runs the program on `stack`, which holds at least max_depth_ slots.
+  double Run(const double* args, double* stack) const;
+
   std::vector<Instr> code_;
+  int max_depth_ = 0;
 };
 
 }  // namespace sac::exec

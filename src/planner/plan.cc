@@ -1,9 +1,70 @@
 #include "src/planner/plan.h"
 
+#include <charconv>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 namespace sac::planner {
+
+std::string BindingShape(const Binding& b) {
+  std::ostringstream os;
+  switch (b.kind) {
+    case Binding::Kind::kScalar:
+      // Scalar values feed plan extents (loop bounds, dimensions) and are
+      // compiled in as constants, so the exact value is the signature:
+      // doubles print in shortest round-trip form, not ToString's six
+      // digits.
+      if (b.value.is_double()) {
+        char buf[32];
+        const auto r =
+            std::to_chars(buf, buf + sizeof(buf), b.value.AsDouble());
+        os << "d=" << std::string_view(buf, r.ptr - buf);
+      } else {
+        os << "s=" << b.value.ToString();
+      }
+      break;
+    case Binding::Kind::kLocal:
+      os << "local";
+      break;
+    case Binding::Kind::kTiled:
+      os << "t=" << b.tiled.rows << 'x' << b.tiled.cols << '/'
+         << b.tiled.block;
+      break;
+    case Binding::Kind::kBlockVector:
+      os << "v=" << b.vec.size << '/' << b.vec.block;
+      break;
+    case Binding::Kind::kCoo:
+      os << "c=" << b.coo.rows << 'x' << b.coo.cols;
+      break;
+  }
+  return os.str();
+}
+
+Result<const Binding*> InputRef::Resolve(const Bindings& binds) const {
+  auto it = binds.find(name);
+  if (it == binds.end()) {
+    return Status::PlanError("plan input '" + name + "' is not bound");
+  }
+  const std::string bound = BindingShape(it->second);
+  if (bound != shape) {
+    return Status::PlanError("plan input '" + name + "' was compiled for " +
+                             shape + " but is bound to " + bound);
+  }
+  return &it->second;
+}
+
+Result<runtime::Dataset> InputRef::Data(const Bindings& binds) const {
+  SAC_ASSIGN_OR_RETURN(const Binding* b, Resolve(binds));
+  switch (b->kind) {
+    case Binding::Kind::kTiled: return b->tiled.tiles;
+    case Binding::Kind::kBlockVector: return b->vec.blocks;
+    case Binding::Kind::kCoo: return b->coo.entries;
+    default:
+      return Status::PlanError("plan input '" + name +
+                               "' is not a distributed array");
+  }
+}
 
 const char* PlanOpName(PlanNode::Op op) {
   switch (op) {

@@ -1,6 +1,7 @@
 // Planner-facing types: bindings (what names in a query refer to), the
-// compiled query (a physical plan bound to the DISC engine), and planner
-// options controlling which translation strategies are eligible.
+// compiled query (a physical plan over the DISC engine, run against the
+// bindings it is handed), and planner options controlling which
+// translation strategies are eligible.
 #ifndef SAC_PLANNER_PLAN_H_
 #define SAC_PLANNER_PLAN_H_
 
@@ -71,6 +72,31 @@ struct Binding {
 };
 
 using Bindings = std::unordered_map<std::string, Binding>;
+
+/// A binding's shape signature: its kind plus extents and block size for
+/// distributed arrays, its value for scalars ("local" for kLocal values,
+/// which have no cheap signature). This is everything a compiled plan may
+/// depend on and nothing that names a dataset: the plan-cache key is built
+/// from it, and a plan checks its inputs against it at run time.
+std::string BindingShape(const Binding& b);
+
+/// A distributed input as a compiled plan sees it: the binding name and
+/// the shape it was compiled for, never the dataset. Run closures capture
+/// these and resolve them against the bindings passed to `run`, so one
+/// plan serves every dataset of the compiled shape.
+struct InputRef {
+  std::string name;
+  std::string shape;  // BindingShape at compile time
+
+  InputRef(std::string name, const Binding& b)
+      : name(std::move(name)), shape(BindingShape(b)) {}
+
+  /// The binding `name` in `binds`; PlanError when it is missing or its
+  /// kind, extents or block size differ from the compiled shape.
+  Result<const Binding*> Resolve(const Bindings& binds) const;
+  /// Resolve() narrowed to the dataset: tiles, blocks or entries.
+  Result<runtime::Dataset> Data(const Bindings& binds) const;
+};
 
 /// The value a query evaluates to.
 struct QueryResult {
@@ -201,7 +227,7 @@ struct PlanNode {
   bool folds_group = false;
   /// Output is materialized and reusable without recompute (sources are;
   /// the engine evaluates eagerly, so its intermediates are too, but a
-  /// re-planned loop body rebuilds them every iteration).
+  /// loop body re-runs and rebuilds them every iteration).
   bool cached = false;
   /// Node is compiled inside an iterative-loop body (DIABLO front end).
   bool in_loop = false;
@@ -250,11 +276,14 @@ class PlanBuilder {
   std::vector<PlanNodePtr> nodes_;
 };
 
-/// A compiled, executable query plan.
+/// A compiled, executable query plan: a function of the query text, the
+/// planner options and the binding shapes only. It holds no dataset;
+/// `run` reads its inputs from the bindings it is handed, and scalar
+/// bindings are compiled in as constants.
 struct CompiledQuery {
   Strategy strategy = Strategy::kLocal;
   std::string explanation;  // one line: rule fired and why
-  std::function<Result<QueryResult>(runtime::Engine*)> run;
+  std::function<Result<QueryResult>(runtime::Engine*, const Bindings&)> run;
 
   /// Symbolic DAG of the engine operators `run` will execute; nullptr for
   /// purely local evaluation (kLocal), which runs no engine operators.

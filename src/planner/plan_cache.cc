@@ -31,33 +31,6 @@ std::string NormalizeText(const std::string& src) {
   return out;
 }
 
-void AppendBinding(std::ostringstream* os, const std::string& name,
-                   const Binding& b) {
-  *os << ';' << name << ':';
-  switch (b.kind) {
-    case Binding::Kind::kScalar:
-      // Scalar values feed plan extents (loop bounds, dimensions), so
-      // they are part of the shape signature, not just the type.
-      *os << "s=" << b.value.ToString();
-      break;
-    case Binding::Kind::kLocal:
-      *os << "local";  // callers treat the whole key as uncacheable
-      break;
-    case Binding::Kind::kTiled:
-      *os << "t=" << b.tiled.rows << 'x' << b.tiled.cols << '/'
-          << b.tiled.block << '@' << b.tiled.tiles.get();
-      break;
-    case Binding::Kind::kBlockVector:
-      *os << "v=" << b.vec.size << '/' << b.vec.block << '@'
-          << b.vec.blocks.get();
-      break;
-    case Binding::Kind::kCoo:
-      *os << "c=" << b.coo.rows << 'x' << b.coo.cols << '@'
-          << b.coo.entries.get();
-      break;
-  }
-}
-
 }  // namespace
 
 std::string PlanCacheKey(const std::string& src, const Bindings& binds,
@@ -83,7 +56,9 @@ std::string PlanCacheKey(const std::string& src, const Bindings& binds,
      << ",cores" << options.cluster.cores_per_executor
      << ",par" << options.cluster.default_parallelism
      << ",mem" << options.cluster.memory_budget_bytes;
-  for (const auto* kv : sorted) AppendBinding(&os, kv->first, kv->second);
+  for (const auto* kv : sorted) {
+    os << ';' << kv->first << ':' << BindingShape(kv->second);
+  }
   return os.str();
 }
 

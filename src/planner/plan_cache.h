@@ -3,15 +3,14 @@
 // the first time.
 //
 // Keying: a cache key is the whitespace-normalized comprehension text
-// plus a per-binding shape signature plus the planner options that can
-// change the chosen plan. Distributed bindings contribute their extents
-// AND the identity of their backing dataset: the cached run closure
-// holds shared_ptr copies of those datasets (keeping them alive for as
-// long as the entry does, so an address can never be reused while its
-// key is live), which makes pointer identity a sound fingerprint and
-// rebinding a name to a new matrix a natural cache invalidation. Queries
-// with kLocal bindings are uncacheable (local values feed the plan by
-// value; there is no cheap identity) and report an empty key.
+// plus each binding's shape signature (BindingShape: scalar values,
+// array kinds, extents and block sizes) plus the planner options that
+// can change the chosen plan. A compiled plan holds no data -- its run
+// closure reads the datasets from the bindings it is handed -- so
+// rebinding a name to a new matrix of the same shape hits, and an entry
+// never keeps a dataset alive. Queries with kLocal bindings are
+// uncacheable (local values have no cheap signature) and report an
+// empty key.
 //
 // Replacement is LRU over a fixed entry capacity (capacity 0 disables
 // the cache). Thread-safe; hit/miss/eviction metering is the caller's
@@ -56,7 +55,7 @@ class PlanCache {
   size_t Insert(const std::string& key,
                 std::shared_ptr<const CompiledQuery> query);
 
-  /// Drops every entry (and the dataset references the entries hold).
+  /// Drops every entry.
   void Clear();
 
   /// Resizes the cache; shrinking evicts LRU entries immediately and 0

@@ -288,7 +288,8 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
     const ZipPattern pat =
         MatchZipPattern(hv, val_args[0], val_args[1], consts);
 
-    const TiledMatrix A = ba->tiled, B = bb->tiled;
+    const InputRef in_a(shape.gens[0].source, *ba);
+    const InputRef in_b(shape.gens[1].source, *bb);
     const auto ma = gmap[0], mb = gmap[1];
     const bool fuse = opts.fuse_elementwise;
     // Both sides are keyed by output tile coordinates.
@@ -318,19 +319,20 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                          /*preserves_partitioning=*/true);
       q.plan_nodes = pb.TakeNodes();
     }
-    q.run = [=](Engine* eng) -> Result<QueryResult> {
-      auto key_by = [&](const TiledMatrix& m,
-                        const std::array<size_t, 2>& mp) {
+    q.run = [=](Engine* eng, const Bindings& binds) -> Result<QueryResult> {
+      auto key_by = [&](const InputRef& in,
+                        const std::array<size_t, 2>& mp) -> Result<Dataset> {
+        SAC_ASSIGN_OR_RETURN(Dataset tiles, in.Data(binds));
         return eng->Map(
-            m.tiles,
+            tiles,
             [mp](const Value& row) {
               const ValueVec& c = row.At(0).AsTuple();
               return VPair(runtime::VTuple({c[mp[0]], c[mp[1]]}), row.At(1));
             },
             "keyTiles");
       };
-      SAC_ASSIGN_OR_RETURN(Dataset ka, key_by(A, ma));
-      SAC_ASSIGN_OR_RETURN(Dataset kb, key_by(B, mb));
+      SAC_ASSIGN_OR_RETURN(Dataset ka, key_by(in_a, ma));
+      SAC_ASSIGN_OR_RETURN(Dataset kb, key_by(in_b, mb));
       SAC_ASSIGN_OR_RETURN(Dataset joined,
                            eng->Join(ka, kb, join_np, out_grid));
       const bool ta_swap = (ma[0] == 1);
@@ -420,7 +422,7 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
     const MapPattern mpat = MatchMapPattern(hv, val_args[0], consts);
     const bool identity = mpat.kind == MapPattern::Kind::kIdentity;
     const bool fuse = opts.fuse_elementwise;
-    const TiledMatrix A = ba->tiled;
+    const InputRef in_a(shape.gens[0].source, *ba);
     CompiledQuery q;
     q.strategy = Strategy::kTilingPreserving;
     q.explanation = std::string("5.1 per-tile ") +
@@ -434,12 +436,13 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                          /*preserves_partitioning=*/!is_transpose);
       q.plan_nodes = pb.TakeNodes();
     }
-    q.run = [=](Engine* eng) -> Result<QueryResult> {
+    q.run = [=](Engine* eng, const Bindings& binds) -> Result<QueryResult> {
       const la::KernelBackend* kbk = eng->kernel_backend();
+      SAC_ASSIGN_OR_RETURN(Dataset tiles, in_a.Data(binds));
       SAC_ASSIGN_OR_RETURN(
           Dataset out,
           eng->Map(
-              A.tiles,
+              tiles,
               [=](const Value& row) {
                 const ValueVec& c = row.At(0).AsTuple();
                 Value key = is_transpose
@@ -520,7 +523,7 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
     const std::vector<std::string> val_args = {shape.gens[0].val};
     SAC_ASSIGN_OR_RETURN(ScalarFn f,
                          exec::CompileScalarFn(hv, val_args, consts));
-    const TiledMatrix A = ba->tiled;
+    const InputRef in_a(shape.gens[0].source, *ba);
     CompiledQuery q;
     q.strategy = Strategy::kTilingPreserving;
     q.explanation = "5.1 diagonal extraction from " + shape.gens[0].source;
@@ -532,11 +535,12 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
       q.plan = pb.Narrow(PlanNode::Op::kMap, "extractDiagonal", flt, 1);
       q.plan_nodes = pb.TakeNodes();
     }
-    q.run = [=](Engine* eng) -> Result<QueryResult> {
+    q.run = [=](Engine* eng, const Bindings& binds) -> Result<QueryResult> {
+      SAC_ASSIGN_OR_RETURN(Dataset tiles, in_a.Data(binds));
       SAC_ASSIGN_OR_RETURN(
           Dataset diag_tiles,
           eng->Filter(
-              A.tiles,
+              tiles,
               [](const Value& row) {
                 return row.At(0).At(0).AsInt() == row.At(0).At(1).AsInt();
               },
@@ -587,7 +591,8 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
     SAC_ASSIGN_OR_RETURN(ScalarFn f,
                          exec::CompileScalarFn(hv, val_args, consts));
     if (shape.gens.size() == 1) {
-      const storage::BlockVector V = binds.at(shape.gens[0].source).vec;
+      const InputRef in_v(shape.gens[0].source,
+                          binds.at(shape.gens[0].source));
       const MapPattern mpat = MatchMapPattern(hv, val_args[0], consts);
       CompiledQuery q;
       q.strategy = Strategy::kTilingPreserving;
@@ -600,12 +605,13 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                            /*preserves_partitioning=*/true);
         q.plan_nodes = pb.TakeNodes();
       }
-      q.run = [=](Engine* eng) -> Result<QueryResult> {
+      q.run = [=](Engine* eng, const Bindings& binds) -> Result<QueryResult> {
         const la::KernelBackend* kbk = eng->kernel_backend();
+        SAC_ASSIGN_OR_RETURN(Dataset blocks, in_v.Data(binds));
         SAC_ASSIGN_OR_RETURN(
             Dataset out,
             eng->Map(
-                V.blocks,
+                blocks,
                 [=](const Value& row) {
                   la::Tile v;
                   if (mpat.kind == MapPattern::Kind::kScale) {
@@ -634,8 +640,10 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
       return q;
     }
     if (shape.gens.size() == 2) {
-      const storage::BlockVector Va = binds.at(shape.gens[0].source).vec;
-      const storage::BlockVector Vb = binds.at(shape.gens[1].source).vec;
+      const InputRef in_a(shape.gens[0].source,
+                          binds.at(shape.gens[0].source));
+      const InputRef in_b(shape.gens[1].source,
+                          binds.at(shape.gens[1].source));
       const int64_t out_blocks = storage::CeilDiv(dims.rows, block);
       const Partitioner out_grid = Partitioner::Grid({out_blocks});
       const int join_np =
@@ -659,10 +667,12 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                            /*preserves_partitioning=*/true);
         q.plan_nodes = pb.TakeNodes();
       }
-      q.run = [=](Engine* eng) -> Result<QueryResult> {
+      q.run = [=](Engine* eng, const Bindings& binds) -> Result<QueryResult> {
         const la::KernelBackend* kbk = eng->kernel_backend();
+        SAC_ASSIGN_OR_RETURN(Dataset va, in_a.Data(binds));
+        SAC_ASSIGN_OR_RETURN(Dataset vb, in_b.Data(binds));
         SAC_ASSIGN_OR_RETURN(Dataset joined,
-                             eng->Join(Va.blocks, Vb.blocks, join_np, out_grid));
+                             eng->Join(va, vb, join_np, out_grid));
         SAC_ASSIGN_OR_RETURN(
             Dataset out,
             eng->Map(
@@ -806,8 +816,9 @@ Result<CompiledQuery> TryTotalAggregate(const ExprPtr& query,
     preds.push_back(std::move(p));
   }
 
-  const Binding src = *b;
-  const bool is_matrix = src.kind == Binding::Kind::kTiled;
+  const bool is_matrix = b->kind == Binding::Kind::kTiled;
+  const int64_t block = is_matrix ? b->tiled.block : b->vec.block;
+  const InputRef in(gen.source, *b);
   if (is_matrix != (gen.idx.size() == 2)) {
     return NotApplicable(kRule, "index arity mismatch");
   }
@@ -824,10 +835,8 @@ Result<CompiledQuery> TryTotalAggregate(const ExprPtr& query,
     q.plan = pb.Collect({partials});
     q.plan_nodes = pb.TakeNodes();
   }
-  q.run = [=](Engine* eng) -> Result<QueryResult> {
-    const int64_t block =
-        is_matrix ? src.tiled.block : src.vec.block;
-    Dataset tiles = is_matrix ? src.tiled.tiles : src.vec.blocks;
+  q.run = [=](Engine* eng, const Bindings& binds) -> Result<QueryResult> {
+    SAC_ASSIGN_OR_RETURN(Dataset tiles, in.Data(binds));
     SAC_ASSIGN_OR_RETURN(
         Dataset partials,
         eng->Map(
@@ -1026,10 +1035,9 @@ Result<CompiledQuery> CompileQuery(const ExprPtr& query,
     CompiledQuery q;
     q.strategy = Strategy::kLocal;
     q.explanation = "no distributed inputs; reference evaluation";
-    const Bindings local_binds = binds;
-    q.run = [query, local_binds](Engine*) -> Result<QueryResult> {
+    q.run = [query](Engine*, const Bindings& binds) -> Result<QueryResult> {
       comp::Evaluator ev;
-      for (const auto& [name, b] : local_binds) {
+      for (const auto& [name, b] : binds) {
         if (b.kind == Binding::Kind::kScalar ||
             b.kind == Binding::Kind::kLocal) {
           ev.Bind(name, b.value);

@@ -25,8 +25,8 @@
 namespace sac::planner {
 
 /// Compiles a query expression (already normalized by comp::Normalize).
-/// `binds` must outlive compilation only; the returned plan owns copies of
-/// everything it needs.
+/// The plan depends on the binding shapes and scalar values only: its run
+/// closure reads every dataset from the bindings passed to `run`.
 Result<CompiledQuery> CompileQuery(const comp::ExprPtr& query,
                                    const Bindings& binds,
                                    const PlannerOptions& opts);

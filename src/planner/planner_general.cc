@@ -99,8 +99,8 @@ Result<CompiledQuery> TryReplication(const QueryShape& shape,
                        EvalScalarInt(shape.builder_args[0], binds));
   SAC_ASSIGN_OR_RETURN(int64_t out_cols,
                        EvalScalarInt(shape.builder_args[1], binds));
-  const TiledMatrix A = it->second.tiled;
-  const int64_t N = A.block;
+  const InputRef in_a(gen.source, it->second);
+  const int64_t N = it->second.tiled.block;
   const Partitioner out_grid = Partitioner::Grid(
       {storage::CeilDiv(out_rows, N), storage::CeilDiv(out_cols, N)});
 
@@ -123,14 +123,15 @@ Result<CompiledQuery> TryReplication(const QueryShape& shape,
                        /*preserves_partitioning=*/true);
     q.plan_nodes = pb.TakeNodes();
   }
-  q.run = [=](Engine* eng) -> Result<QueryResult> {
+  q.run = [=](Engine* eng, const Bindings& binds) -> Result<QueryResult> {
     // Map side: compute each tile's destination set I_f(K) by evaluating
     // the index functions over the tile's elements (the paper's set
     // comprehension), then replicate the tile to those destinations.
+    SAC_ASSIGN_OR_RETURN(Dataset tiles, in_a.Data(binds));
     SAC_ASSIGN_OR_RETURN(
         Dataset replicated,
         eng->FlatMap(
-            A.tiles,
+            tiles,
             [=](const Value& row, ValueVec* out) {
               const int64_t bi = row.At(0).At(0).AsInt();
               const int64_t bj = row.At(0).At(1).AsInt();
@@ -452,7 +453,10 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
                                          storage::CeilDiv(out_cols, block)});
 
   const QueryShape sh = shape;  // captured copies
-  const Bindings bnds = binds;
+  std::vector<InputRef> ins;
+  for (const GenInfo& g : shape.gens) {
+    ins.emplace_back(g.source, binds.at(g.source));
+  }
   const std::vector<CooAgg> aggs_c = aggs;
   const std::vector<IntFn> key_fns_c = key_fns;
   const std::vector<PredFn> preds_c = preds;
@@ -515,7 +519,7 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
     }
     q.plan_nodes = pb.TakeNodes();
   }
-  q.run = [=](Engine* eng) -> Result<QueryResult> {
+  q.run = [=](Engine* eng, const Bindings& binds) -> Result<QueryResult> {
     // Build the element-record dataset with rows mapping to a flat tuple
     // (idx..., val, idx..., val) environment.
     auto flatten1 = [](const Value& row, size_t nidx, ValueVec* env) {
@@ -529,8 +533,8 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
     };
     Dataset env_rows;
     const size_t nidx0 = sh.gens[0].idx.size();
-    SAC_ASSIGN_OR_RETURN(Dataset e0,
-                         Elements(eng, bnds.at(sh.gens[0].source)));
+    SAC_ASSIGN_OR_RETURN(const Binding* b0, ins[0].Resolve(binds));
+    SAC_ASSIGN_OR_RETURN(Dataset e0, Elements(eng, *b0));
     if (sh.gens.size() == 1) {
       SAC_ASSIGN_OR_RETURN(
           env_rows,
@@ -544,8 +548,8 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
               "elementEnv"));
     } else {
       const size_t nidx1 = sh.gens[1].idx.size();
-      SAC_ASSIGN_OR_RETURN(Dataset e1,
-                           Elements(eng, bnds.at(sh.gens[1].source)));
+      SAC_ASSIGN_OR_RETURN(const Binding* b1, ins[1].Resolve(binds));
+      SAC_ASSIGN_OR_RETURN(Dataset e1, Elements(eng, *b1));
       // Rule (14): key both sides by the (composite) join index, then join.
       auto key_by = [&](Dataset d, size_t nidx, bool left) -> Result<Dataset> {
         std::vector<size_t> positions;
@@ -716,24 +720,33 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
 Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
                                         const Bindings& binds,
                                         const PlannerOptions& opts) {
-  // Total cells across the distributed inputs this query mentions.
+  // The query's free variables are all the plan reads: the distributed
+  // ones are collected at run time, so the cell guard bounds exactly what
+  // gets collected.
+  const std::vector<std::string> free_vars = comp::FreeVars(query);
+  std::vector<InputRef> ins;
   int64_t cells = 0;
-  for (const std::string& v : comp::FreeVars(query)) {
+  int64_t block = 64;  // the result's block size: its last block input's
+  for (const std::string& v : free_vars) {
     auto it = binds.find(v);
-    if (it == binds.end()) continue;
-    switch (it->second.kind) {
+    if (it == binds.end() || !it->second.is_distributed()) continue;
+    const Binding& b = it->second;
+    switch (b.kind) {
       case Binding::Kind::kTiled:
-        cells += it->second.tiled.rows * it->second.tiled.cols;
+        cells += b.tiled.rows * b.tiled.cols;
+        block = b.tiled.block;
         break;
       case Binding::Kind::kBlockVector:
-        cells += it->second.vec.size;
+        cells += b.vec.size;
+        block = b.vec.block;
         break;
       case Binding::Kind::kCoo:
-        cells += it->second.coo.rows * it->second.coo.cols;
+        cells += b.coo.rows * b.coo.cols;
         break;
       default:
         break;
     }
+    ins.emplace_back(v, b);
   }
   if (cells > opts.local_fallback_max_cells) {
     return Status::PlanError(
@@ -742,65 +755,60 @@ Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
         ")");
   }
 
-  const Bindings bnds = binds;
-  const comp::ExprPtr qy = query;
   CompiledQuery q;
   q.strategy = Strategy::kLocalFallback;
   q.explanation = "collected distributed inputs and ran the reference "
                   "evaluator (inputs small enough)";
-  {
+  if (!ins.empty()) {
     PlanBuilder pb(query->pos);
     std::vector<PlanNodePtr> srcs;
-    for (const std::string& v : comp::FreeVars(query)) {
-      auto bit = binds.find(v);
-      if (bit == binds.end() || !bit->second.is_distributed()) continue;
-      const int key = bit->second.kind == Binding::Kind::kBlockVector ? 1 : 2;
-      srcs.push_back(pb.Source(v, key, query->pos));
+    for (const InputRef& in : ins) {
+      const int key =
+          binds.at(in.name).kind == Binding::Kind::kBlockVector ? 1 : 2;
+      srcs.push_back(pb.Source(in.name, key, query->pos));
     }
-    if (!srcs.empty()) {
-      q.plan = pb.Collect(std::move(srcs));
-      q.plan_nodes = pb.TakeNodes();
-    }
+    q.plan = pb.Collect(std::move(srcs));
+    q.plan_nodes = pb.TakeNodes();
   }
-  q.run = [qy, bnds](Engine* eng) -> Result<QueryResult> {
+  q.run = [query, free_vars, ins, block](
+              Engine* eng, const Bindings& binds) -> Result<QueryResult> {
     comp::Evaluator ev;
-    int64_t block = 64;
-    for (const auto& [name, b] : bnds) {
-      switch (b.kind) {
-        case Binding::Kind::kScalar:
-        case Binding::Kind::kLocal:
-          ev.Bind(name, b.value);
-          break;
+    for (const std::string& v : free_vars) {
+      auto it = binds.find(v);
+      if (it != binds.end() && !it->second.is_distributed()) {
+        ev.Bind(v, it->second.value);
+      }
+    }
+    for (const InputRef& in : ins) {
+      SAC_ASSIGN_OR_RETURN(const Binding* b, in.Resolve(binds));
+      ValueVec rows;
+      switch (b->kind) {
         case Binding::Kind::kTiled: {
-          SAC_ASSIGN_OR_RETURN(ValueVec rows,
-                               storage::SparsifyLocal(eng, b.tiled));
-          ev.Bind(name, Value::List(std::move(rows)));
-          block = b.tiled.block;
+          SAC_ASSIGN_OR_RETURN(rows, storage::SparsifyLocal(eng, b->tiled));
           break;
         }
         case Binding::Kind::kBlockVector: {
           SAC_ASSIGN_OR_RETURN(std::vector<double> vec,
-                               storage::ToLocalVector(eng, b.vec));
-          ValueVec rows;
+                               storage::ToLocalVector(eng, b->vec));
           for (size_t i = 0; i < vec.size(); ++i) {
             rows.push_back(VPair(VInt(static_cast<int64_t>(i)),
                                  runtime::VDouble(vec[i])));
           }
-          ev.Bind(name, Value::List(std::move(rows)));
-          block = b.vec.block;
           break;
         }
         case Binding::Kind::kCoo: {
-          SAC_ASSIGN_OR_RETURN(ValueVec rows, eng->Collect(b.coo.entries));
-          ev.Bind(name, Value::List(std::move(rows)));
+          SAC_ASSIGN_OR_RETURN(rows, eng->Collect(b->coo.entries));
           break;
         }
+        default:
+          break;
       }
+      ev.Bind(in.name, Value::List(std::move(rows)));
     }
-    SAC_ASSIGN_OR_RETURN(Value v, ev.Eval(qy));
+    SAC_ASSIGN_OR_RETURN(Value v, ev.Eval(query));
     QueryResult r;
     // Re-distribute tiled results so callers see the declared storage.
-    if (qy->kind == Expr::Kind::kBuild && qy->str_val == "tiled") {
+    if (query->kind == Expr::Kind::kBuild && query->str_val == "tiled") {
       if (v.is_tile()) {
         SAC_ASSIGN_OR_RETURN(TiledMatrix m,
                              storage::FromLocal(eng, v.AsTile(), block));

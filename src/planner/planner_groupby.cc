@@ -505,12 +505,12 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
     }
     std::vector<ReduceOp> ops;
     for (const auto& a : js.aggs.aggs) ops.push_back(a.op);
-    const TiledMatrix A = ba.tiled;
-    const Binding B = bb;
+    const InputRef in_a(shape.gens[js.gen_a].source, ba);
+    const InputRef in_b(shape.gens[js.gen_b].source, bb);
     // The join is keyed by the shared-dimension block, the reduce by the
     // output tile (a block index for vector outputs).
     const int64_t join_blocks =
-        js.a_join_pos == 0 ? A.grid_rows() : A.grid_cols();
+        js.a_join_pos == 0 ? ba.tiled.grid_rows() : ba.tiled.grid_cols();
     const int64_t out_tiles =
         storage::CeilDiv(out_rows, block) *
         (out_is_vector ? 1 : storage::CeilDiv(out_cols, block));
@@ -555,26 +555,25 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
                          /*preserves_partitioning=*/true);
       q.plan_nodes = pb.TakeNodes();
     }
-    q.run = [=](Engine* eng) -> Result<QueryResult> {
+    q.run = [=](Engine* eng, const Bindings& binds) -> Result<QueryResult> {
       const la::KernelBackend* kbk = eng->kernel_backend();
+      SAC_ASSIGN_OR_RETURN(Dataset a_tiles, in_a.Data(binds));
+      SAC_ASSIGN_OR_RETURN(Dataset kb, in_b.Data(binds));
       // Key A tiles by join coordinate.
       SAC_ASSIGN_OR_RETURN(
           Dataset ka,
           eng->Map(
-              A.tiles,
+              a_tiles,
               [js](const Value& row) {
                 const ValueVec& c = row.At(0).AsTuple();
                 return VPair(c[js.a_join_pos],
                              VPair(c[js.a_out_pos], row.At(1)));
               },
               "keyByJoinDim"));
-      Dataset kb;
-      if (js.b_is_vector) {
-        kb = B.vec.blocks;
-      } else {
+      if (!js.b_is_vector) {
         SAC_ASSIGN_OR_RETURN(
             kb, eng->Map(
-                    B.tiled.tiles,
+                    kb,
                     [js](const Value& row) {
                       const ValueVec& c = row.At(0).AsTuple();
                       return VPair(c[js.b_join_pos],
@@ -718,7 +717,7 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
     const bool row_sums = g_is_val && out_is_vector && key_pos[0] == 0;
     const bool col_sums = g_is_val && out_is_vector && key_pos[0] == 1;
 
-    const TiledMatrix A = bsrc.tiled;
+    const InputRef in_a(gen.source, bsrc);
     const bool vec_out = out_is_vector;
     const std::vector<size_t> kpos = key_pos;
     const int64_t orows = out_rows, ocols = out_cols, N = block;
@@ -754,12 +753,13 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
                          /*preserves_partitioning=*/true);
       q.plan_nodes = pb.TakeNodes();
     }
-    q.run = [=](Engine* eng) -> Result<QueryResult> {
+    q.run = [=](Engine* eng, const Bindings& binds) -> Result<QueryResult> {
       const la::KernelBackend* kbk = eng->kernel_backend();
+      SAC_ASSIGN_OR_RETURN(Dataset tiles, in_a.Data(binds));
       SAC_ASSIGN_OR_RETURN(
           Dataset partials,
           eng->FlatMap(
-              A.tiles,
+              tiles,
               [=](const Value& row, ValueVec* out) {
                 const int64_t bi = row.At(0).At(0).AsInt();
                 const int64_t bj = row.At(0).At(1).AsInt();
@@ -927,7 +927,8 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
 
   std::vector<ReduceOp> ops;
   for (const auto& a : js.aggs.aggs) ops.push_back(a.op);
-  const TiledMatrix A = ba.tiled, B = bb.tiled;
+  const InputRef in_a(shape.gens[js.gen_a].source, ba);
+  const InputRef in_b(shape.gens[js.gen_b].source, bb);
   const int cogroup_np =
       GridShufflePartitions(out_gr * out_gc, opts.cluster.default_parallelism);
 
@@ -954,15 +955,17 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
                        /*preserves_partitioning=*/true);
     q.plan_nodes = pb.TakeNodes();
   }
-  q.run = [=](Engine* eng) -> Result<QueryResult> {
+  q.run = [=](Engine* eng, const Bindings& binds) -> Result<QueryResult> {
     const la::KernelBackend* kbk = eng->kernel_backend();
     const bool a_swap = (js.a_out_pos == 1);
     const bool b_swap = (js.b_join_pos == 1);
+    SAC_ASSIGN_OR_RETURN(Dataset a_tiles, in_a.Data(binds));
+    SAC_ASSIGN_OR_RETURN(Dataset b_tiles, in_b.Data(binds));
     // As: every A tile goes to every output column panel.
     SAC_ASSIGN_OR_RETURN(
         Dataset as,
         eng->FlatMap(
-            A.tiles,
+            a_tiles,
             [=](const Value& row, ValueVec* out) {
               const ValueVec& c = row.At(0).AsTuple();
               const Value i = c[js.a_out_pos];
@@ -976,7 +979,7 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
     SAC_ASSIGN_OR_RETURN(
         Dataset bs,
         eng->FlatMap(
-            B.tiles,
+            b_tiles,
             [=](const Value& row, ValueVec* out) {
               const ValueVec& c = row.At(0).AsTuple();
               const Value j = c[js.b_out_pos];

@@ -59,7 +59,7 @@ TEST(ApiTest, CompileDoesNotExecute) {
       " kk == k, let v = a*b, group by (i,j) ]");
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(ctx.metrics().Snapshot().shuffle_bytes, 0u);  // nothing ran yet
-  auto r = q.value().run(&ctx.engine());
+  auto r = q.value().run(&ctx.engine(), ctx.bindings());
   ASSERT_TRUE(r.ok());
   EXPECT_GT(ctx.metrics().Snapshot().shuffle_bytes, 0u);
 }

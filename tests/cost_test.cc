@@ -272,9 +272,9 @@ TEST(Predictions, EvalRecordsPerLabelShuffleBytes) {
 }
 
 TEST(Predictions, EvalLoopRebindsAccumulatePredictions) {
-  // Loop-carried rebinds: the second EvalLoop re-plans against the
-  // rebound target C; shapes stay resolved and predictions accumulate
-  // monotonically across the two updates.
+  // Loop-carried rebinds: the second EvalLoop runs the cached plan
+  // against the rebound target C; shapes stay resolved and predictions
+  // accumulate monotonically across the two updates.
   Sac ctx(runtime::ClusterConfig{2, 2, 4});
   ctx.Bind("A", ctx.RandomMatrix(16, 16, 8, 1).value());
   ctx.Bind("B", ctx.RandomMatrix(16, 16, 8, 2).value());

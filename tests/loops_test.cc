@@ -144,6 +144,27 @@ TEST_F(LoopEndToEnd, SequencedStatementsSeeEarlierResults) {
   }
 }
 
+TEST_F(LoopEndToEnd, IteratedLoopReusesCachedPlans) {
+  // Each update rebinds C to a fresh matrix of the same shape, so only
+  // the first iteration compiles; later ones hit and still compute over
+  // the rebound C.
+  ctx_.metrics().Reset();
+  auto r = ctx_.EvalLoopIterated(
+      "for i = 0, n-1 do for j = 0, n-1 do C[i,j] := A[i,j] + B[i,j];\n"
+      "for i = 0, n-1 do for j = 0, n-1 do C[i,j] := C[i,j] * 2.0;",
+      3);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const MetricsSnapshot snap = ctx_.metrics().Snapshot();
+  EXPECT_EQ(snap.plan_cache_misses, 2u);
+  EXPECT_EQ(snap.plan_cache_hits, 4u);
+  auto c = ctx_.ToLocal(ctx_.bindings().at("C").tiled).value();
+  auto la_ = ctx_.ToLocal(a_).value();
+  auto lb = ctx_.ToLocal(b_).value();
+  for (int64_t i = 0; i < c.size(); ++i) {
+    ASSERT_NEAR(c.data()[i], 2.0 * (la_.data()[i] + lb.data()[i]), 1e-12);
+  }
+}
+
 TEST_F(LoopEndToEnd, TransposedWriteIndices) {
   auto r = ctx_.EvalLoop(
       "for i = 0, n-1 do for j = 0, n-1 do C[j,i] := A[i,j];");

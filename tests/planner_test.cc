@@ -358,6 +358,29 @@ TEST_F(PlannerTest, SmoothingFallsBackAndMatchesReference) {
   }
 }
 
+TEST_F(PlannerTest, LocalFallbackCollectsOnlyTheQuerysInputs) {
+  ctx_.Bind("M", ctx_.RandomMatrix(12, 12, 4, 37).value());
+  ctx_.BindScalar("n", int64_t{12});
+  ctx_.BindScalar("m", int64_t{12});
+  const std::string src =
+      "tiled(n,m)[ ((ii,jj), (+/a)/a.length) | ((i,j),a) <- M,"
+      " ii <- (i-1) to (i+1), jj <- (j-1) to (j+1),"
+      " ii >= 0, ii < n, jj >= 0, jj < m, group by (ii,jj) ]";
+  ASSERT_EQ(ctx_.Compile(src).value().strategy, Strategy::kLocalFallback);
+  // Runs the fallback and returns (tasks run, stages created) by it.
+  auto cost = [&]() -> std::pair<uint64_t, size_t> {
+    ctx_.ResetStats();
+    EXPECT_TRUE(ctx_.EvalTiled(src).ok());
+    return {ctx_.metrics().Snapshot().tasks_run, ctx_.stages().size()};
+  };
+  const auto alone = cost();
+  // A large matrix the query never names must not be collected.
+  ctx_.Bind("Z", ctx_.RandomMatrix(512, 512, 16, 38).value());
+  const auto with_unrelated = cost();
+  EXPECT_EQ(with_unrelated.first, alone.first);
+  EXPECT_EQ(with_unrelated.second, alone.second);
+}
+
 TEST_F(PlannerTest, PurelyLocalQueriesEvaluateLocally) {
   ctx_.BindScalar("n", int64_t{5});
   auto q = ctx_.Compile("+/[ i*i | i <- 0 until n ]");

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/comp/eval.h"
 #include "src/comp/parser.h"
 #include "src/exec/scalar_program.h"
 
@@ -155,19 +156,25 @@ TEST(ScalarProgramTest, BuiltinsAndConditional) {
   EXPECT_DOUBLE_EQ(p.value().Eval(args), -30.0);
 }
 
-TEST(ScalarProgramTest, MatchesClosureTreeOnFig4cUpdate) {
+TEST(ScalarProgramTest, MatchesReferenceEvaluatorOnFig4cUpdate) {
   // The factorization update shape from fig4c: p + gamma*g with bound
   // scalar coefficients, composed with a clamp.
   ConstEnv consts{{"__gl", 0.002}, {"__tg", -0.004}};
   const auto src = "max(min(__gl*p + __tg*g, 5.0), 0.0 - 5.0)";
-  auto prog = ScalarProgram::Compile(P(src), {"p", "g"}, consts);
-  ASSERT_TRUE(prog.ok()) << prog.status().ToString();
   auto fn = CompileScalarFn(P(src), {"p", "g"}, consts);
-  ASSERT_TRUE(fn.ok());
+  ASSERT_TRUE(fn.ok()) << fn.status().ToString();
   for (double pv : {-3.0, 0.0, 1.5, 4000.0}) {
     for (double gv : {-2.0, 0.25, 100.0}) {
+      comp::Evaluator ref;
+      for (const auto& [name, v] : consts) {
+        ref.Bind(name, runtime::Value::Double(v));
+      }
+      ref.Bind("p", runtime::Value::Double(pv));
+      ref.Bind("g", runtime::Value::Double(gv));
+      auto want = ref.Eval(P(src));
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
       const double args[2] = {pv, gv};
-      EXPECT_DOUBLE_EQ(prog.value().Eval(args), fn.value()(args));
+      EXPECT_DOUBLE_EQ(fn.value()(args), want.value().AsDouble());
     }
   }
 }
@@ -180,26 +187,31 @@ TEST(ScalarProgramTest, RejectsUnboundVarAndComprehension) {
 }
 
 TEST(ScalarProgramTest, DeepNestingHitsStackGuardNotUb) {
-  // Build an expression whose postfix evaluation needs > kMaxStack slots:
-  // right-nested additions a + (a + (a + ...)) push one operand per level.
+  // Build an expression whose postfix evaluation needs more slots than
+  // the inline stack: right-nested additions a + (a + (a + ...)) push one
+  // operand per level.
   std::string src = "a";
-  for (int i = 0; i < ScalarProgram::kMaxStack + 8; ++i) src = "a + (" + src + ")";
+  for (int i = 0; i < ScalarProgram::kInlineStack + 8; ++i) {
+    src = "a + (" + src + ")";
+  }
   ConstEnv consts;
   auto p = ScalarProgram::Compile(P(src), {"a"}, consts);
-  // Either the compiler rejects it (falls back to the closure tree) or it
-  // fits; it must never compile a program that overruns the stack.
-  if (p.ok()) {
-    EXPECT_LE(p.value().size(), 4096u);
+  // The program records the depth it needs and Eval sizes its stack to
+  // it, so a deep program compiles and never overruns the stack.
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  EXPECT_GT(p.value().max_depth(), ScalarProgram::kInlineStack);
+  EXPECT_LE(p.value().size(), 4096u);
+  {
     const double args[1] = {1.0};
     EXPECT_DOUBLE_EQ(p.value().Eval(args),
-                     static_cast<double>(ScalarProgram::kMaxStack + 9));
+                     static_cast<double>(ScalarProgram::kInlineStack + 9));
   }
-  // The public entry point still compiles it via the fallback.
+  // The public entry point compiles it the same way.
   auto f = CompileScalarFn(P(src), {"a"}, consts);
   ASSERT_TRUE(f.ok());
   const double args[1] = {1.0};
   EXPECT_DOUBLE_EQ(f.value()(args),
-                   static_cast<double>(ScalarProgram::kMaxStack + 9));
+                   static_cast<double>(ScalarProgram::kInlineStack + 9));
 }
 
 }  // namespace

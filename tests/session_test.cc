@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/algorithms.h"
 #include "src/api/sac.h"
 #include "src/common/thread_pool.h"
 #include "src/runtime/engine.h"
@@ -185,13 +186,136 @@ TEST(SessionTest, PlanCacheHitPathIsEquivalent) {
   EXPECT_TRUE(ctx.ToLocal(first.value()).value() ==
               ctx.ToLocal(second.value()).value());
 
-  // Rebinding a name to a new matrix changes the key (dataset identity):
-  // natural invalidation, no stale plan.
+  // Rebinding a name to a new matrix of the same shape keeps the key:
+  // the cached plan reads A from the bindings it runs against, so the hit
+  // computes the new product, byte-identical to a fresh compile-and-run.
   ctx.Bind("A", ctx.RandomMatrix(32, 32, 16, 3).value());
+  auto rebound = ctx.EvalTiled(kMatmul);
+  ASSERT_TRUE(rebound.ok()) << rebound.status().ToString();
+  snap = ctx.metrics().Snapshot();
+  EXPECT_EQ(snap.plan_cache_misses, 1u);
+  EXPECT_EQ(snap.plan_cache_hits, 2u);
+  auto fresh_plan = ctx.Compile(kMatmul);
+  ASSERT_TRUE(fresh_plan.ok()) << fresh_plan.status().ToString();
+  auto fresh = fresh_plan.value().run(&ctx.engine(), ctx.bindings());
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  const la::Tile rebound_local = ctx.ToLocal(rebound.value()).value();
+  EXPECT_TRUE(rebound_local == ctx.ToLocal(fresh.value().tiled).value());
+  EXPECT_FALSE(rebound_local == ctx.ToLocal(first.value()).value());
+
+  // Rebinding to a different shape (block size) changes the key: miss.
+  ctx.Bind("A", ctx.RandomMatrix(32, 32, 8, 4).value());
+  ctx.Bind("B", ctx.RandomMatrix(32, 32, 8, 5).value());
   ASSERT_TRUE(ctx.EvalTiled(kMatmul).ok());
   snap = ctx.metrics().Snapshot();
   EXPECT_EQ(snap.plan_cache_misses, 2u);
-  EXPECT_EQ(snap.plan_cache_hits, 1u);
+  EXPECT_EQ(snap.plan_cache_hits, 2u);
+}
+
+TEST(SessionTest, PlanRejectsBindingsOfAnotherShape) {
+  Sac ctx(SmallCluster());
+  ctx.Bind("A", ctx.RandomMatrix(32, 32, 16, 1).value());
+  ctx.Bind("B", ctx.RandomMatrix(32, 32, 16, 2).value());
+  ctx.BindScalar("n", int64_t{32});
+  auto plan = ctx.Compile(kMatmul);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  planner::Bindings binds = ctx.bindings();
+  binds.erase("B");
+  auto missing = plan.value().run(&ctx.engine(), binds);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kPlanError);
+
+  binds = ctx.bindings();
+  binds["B"] = planner::Binding::Tiled(ctx.RandomMatrix(32, 32, 8, 3).value());
+  auto reshaped = plan.value().run(&ctx.engine(), binds);
+  ASSERT_FALSE(reshaped.ok());
+  EXPECT_EQ(reshaped.status().code(), StatusCode::kPlanError);
+}
+
+TEST(SessionTest, CachedPlanDoesNotKeepDatasetAlive) {
+  Sac ctx(SmallCluster());
+  ctx.BindScalar("n", int64_t{32});
+  ctx.BindScalar("c", 2.0);
+  std::weak_ptr<runtime::DatasetImpl> tiles;
+  {
+    storage::TiledMatrix a = ctx.RandomMatrix(32, 32, 16, 1).value();
+    tiles = a.tiles;
+    ctx.Bind("A", std::move(a));
+  }
+  ASSERT_TRUE(
+      ctx.EvalTiled("tiled(n,n)[ ((i,j), c*a) | ((i,j),a) <- A ]").ok());
+  EXPECT_EQ(ctx.plan_cache().size(), 1u);
+  EXPECT_FALSE(tiles.expired());
+  ctx.Unbind("A");
+  EXPECT_TRUE(tiles.expired());
+  EXPECT_EQ(ctx.plan_cache().size(), 1u);
+}
+
+TEST(SessionTest, SessionsShareOnePlanOverTheirOwnData) {
+  Sac ctx(SmallCluster());
+  auto s1 = ctx.OpenSession("one");
+  auto s2 = ctx.OpenSession("two");
+  for (Session* s : {s1.get(), s2.get()}) {
+    s->Bind("A", s->RandomMatrix(32, 32, 16, 10 * s->id() + 1).value());
+    s->Bind("B", s->RandomMatrix(32, 32, 16, 10 * s->id() + 2).value());
+    s->BindScalar("n", int64_t{32});
+  }
+  // Serial references; the second session already hits the first's entry.
+  const la::Tile want1 = s1->ToLocal(s1->EvalTiled(kMatmul).value()).value();
+  const la::Tile want2 = s2->ToLocal(s2->EvalTiled(kMatmul).value()).value();
+  ASSERT_FALSE(want1 == want2);
+  EXPECT_EQ(ctx.plan_cache().size(), 1u);
+
+  constexpr int kRounds = 4;
+  std::vector<la::Tile> got1(kRounds), got2(kRounds);
+  Status st1, st2;
+  auto client = [](Session* s, std::vector<la::Tile>* got, Status* st) {
+    for (int r = 0; r < kRounds && st->ok(); ++r) {
+      auto m = s->EvalTiled(kMatmul);
+      if (!m.ok()) {
+        *st = m.status();
+        return;
+      }
+      auto local = s->ToLocal(m.value());
+      if (!local.ok()) {
+        *st = local.status();
+        return;
+      }
+      (*got)[r] = std::move(local).value();
+    }
+  };
+  std::thread t1(client, s1.get(), &got1, &st1);
+  std::thread t2(client, s2.get(), &got2, &st2);
+  t1.join();
+  t2.join();
+  ASSERT_TRUE(st1.ok()) << st1.ToString();
+  ASSERT_TRUE(st2.ok()) << st2.ToString();
+  for (int r = 0; r < kRounds; ++r) {
+    EXPECT_TRUE(got1[r] == want1) << "round " << r;
+    EXPECT_TRUE(got2[r] == want2) << "round " << r;
+  }
+  const MetricsSnapshot snap = ctx.metrics().Snapshot();
+  EXPECT_EQ(snap.plan_cache_misses, 1u);
+  EXPECT_EQ(snap.plan_cache_hits, 1u + 2u * kRounds);
+}
+
+TEST(SessionTest, IterativeFactorizationReusesItsPlans) {
+  Sac ctx(SmallCluster());
+  const storage::TiledMatrix r =
+      ctx.RandomSparseMatrix(32, 24, 8, 1, 0.3, 5).value();
+  algo::Factorization state{ctx.RandomMatrix(32, 8, 8, 2, 0, 1).value(),
+                            ctx.RandomMatrix(24, 8, 8, 3, 0, 1).value()};
+  for (int step = 0; step < 3; ++step) {
+    auto next = algo::FactorizationStep(&ctx, r, state, 0.002, 0.02);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    state = std::move(next).value();
+    const MetricsSnapshot snap = ctx.metrics().Snapshot();
+    // The first step compiles its 6 comprehensions; later steps rebind
+    // fresh factors of the same shapes and only hit.
+    EXPECT_EQ(snap.plan_cache_misses, 6u) << "step " << step;
+    EXPECT_EQ(snap.plan_cache_hits, 6u * step) << "step " << step;
+  }
 }
 
 TEST(SessionTest, PlanCacheDisabledAndEvictions) {
@@ -236,6 +360,13 @@ TEST(SessionTest, PlanCacheKeySemantics) {
   binds2["n"] = planner::Binding::Scalar(runtime::Value::Int(64));
   EXPECT_NE(planner::PlanCacheKey("x + y", binds, options),
             planner::PlanCacheKey("x + y", binds2, options));
+  // Scalars are compiled in as constants, so the key holds their exact
+  // value, not a rounded rendering.
+  binds2["n"] = planner::Binding::Scalar(runtime::Value::Double(0.1));
+  planner::Bindings binds3 = binds2;
+  binds3["n"] = planner::Binding::Scalar(runtime::Value::Double(0.1000001));
+  EXPECT_NE(planner::PlanCacheKey("x + y", binds2, options),
+            planner::PlanCacheKey("x + y", binds3, options));
 
   // kLocal bindings make the query uncacheable: empty key.
   binds["v"] = planner::Binding::Local(runtime::Value::Double(2.0));
