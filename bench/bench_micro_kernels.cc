@@ -2,6 +2,8 @@
 // kernels vs jvmlike kernels, Value serialization, and one engine shuffle.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "src/common/rng.h"
 #include "src/la/jvmlike.h"
 #include "src/la/kernels.h"
@@ -29,7 +31,8 @@ void BM_GemmFast(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_GemmFast)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_GemmFast)
+    ->Arg(16)->Arg(32)->Arg(48)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_GemmPacked(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -40,9 +43,33 @@ void BM_GemmPacked(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-// 64 forwards to the unpacked loop (below threshold); 128+ pack. The
-// 512 point is the backend-ablation gate's shape (docs/KERNELS.md).
-BENCHMARK(BM_GemmPacked)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+// Below PackedGemmThreshold() (32) the call forwards to the unpacked loop;
+// BM_GemmPackedWith shows what packing would cost there. 64 and 512 are
+// the backend-ablation gate's shapes (docs/KERNELS.md).
+BENCHMARK(BM_GemmPacked)
+    ->Arg(16)->Arg(32)->Arg(48)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+
+/// The packed path forced onto one microkernel (0 avx512, 1 avx2) at
+/// every size, threshold ignored: the per-ISA crossover
+/// against BM_GemmFast.
+void BM_GemmPackedWith(benchmark::State& state) {
+  const auto kernel = static_cast<sac::la::MicroKernel>(state.range(0));
+  if (!sac::la::MicroKernelSupported(kernel)) {
+    state.SkipWithError("microkernel not supported on this host");
+    return;
+  }
+  state.SetLabel(std::string(sac::la::MicroKernelName(kernel)));
+  const int64_t n = state.range(1);
+  Tile a = RandomTile(n, 1), b = RandomTile(n, 2), c(n, n);
+  for (auto _ : state) {
+    sac::la::PackedGemmAccumWith(kernel, a, b, &c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+}
+BENCHMARK(BM_GemmPackedWith)
+    ->ArgsProduct({{0, 1}, {16, 32, 48, 64, 128}});
 
 void BM_GemmJvmlike(benchmark::State& state) {
   const int64_t n = state.range(0);

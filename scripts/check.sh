@@ -27,9 +27,9 @@
 #      predictions within 2x of the measured counters on fig4a/b/c
 #      (docs/COST_MODEL.md)
 #   8c. backends: bench_abl_backend at tiny scale (packed GEMM >= 1.3x
-#      generic at n=512, all three kernel backends byte-identical on
-#      fig4-shaped queries, fusion strictly reduces tile allocations;
-#      docs/KERNELS.md)
+#      generic at n=64, the planner's default block, and at n=512; all
+#      three kernel backends byte-identical on fig4-shaped queries,
+#      fusion strictly reduces tile allocations; docs/KERNELS.md)
 #   8d. service: bench_abl_service --smoke (4 concurrent sessions must be
 #      >= 2x faster than serialized admission with byte-identical
 #      products, and the plan cache must show 1 miss + K-1 hits with

@@ -6,7 +6,8 @@
 //
 //   * generic -- the blocked, restrict'd loops in src/la/kernels.cc.
 //   * packed  -- generic, with GemmAccum routed through the register-
-//                tiled panel-packing kernel (src/la/packed_gemm.h).
+//                tiled panel-packing kernel at the host's widest vector
+//                ISA, for products of 32x32 and up (src/la/packed_gemm.h).
 //   * jvmlike -- virtual-dispatch bounds-checked access modelling MLlib's
 //                non-native Breeze path (src/la/jvmlike.h).
 //
@@ -15,9 +16,9 @@
 // switch: MLlib-shaped runs configure kernel_backend = "jvmlike".
 //
 // Numerics: all three backends accumulate GEMM with the same per-element
-// order (accumulator loaded from C, k ascending, no k-blocking), so
-// results are bitwise identical across backends; the backend-parameterized
-// suite in tests/kernels_test.cc enforces this.
+// order (accumulator loaded from C, k ascending, no k-blocking, no FMA),
+// so results are bitwise identical across backends and microkernels; the
+// backend-parameterized suite in tests/kernels_test.cc enforces this.
 #ifndef SAC_LA_BACKEND_H_
 #define SAC_LA_BACKEND_H_
 

@@ -1,6 +1,8 @@
 #include "src/la/packed_gemm.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 
 #include "src/common/logging.h"
 #include "src/common/pool.h"
@@ -8,26 +10,24 @@
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define SAC_PACKED_X86_DISPATCH 1
-#include <immintrin.h>
 #endif
 
 namespace sac::la {
 
 namespace {
 
-// Register microkernel footprint. 6x8 keeps the 48 accumulators (12 ymm)
-// plus two B vectors and one A broadcast inside AVX2's 16-register file
-// with one to spare; 8x6 needs 24 xmm under baseline SSE2 and spills.
-// bench_micro_kernels confirms 6x8 beats both on the shapes the tiled
-// planner produces.
-constexpr int64_t kMr = 6;
-constexpr int64_t kNr = 8;
-
 // Packing is only worth it once the O(m*l + l*n) copy cost is amortized
-// over O(m*l*n) flops: the micro bench's BM_GemmFast/BM_GemmPacked
-// crossover sits between 64 and 128 on the reference container, so 64x64
-// tiles (the default planner block) always take the unpacked loop.
-constexpr int64_t kPackedMinDim = 128;
+// over O(m*l*n) flops. bench_micro_kernels (BM_GemmFast vs
+// BM_GemmPackedWith) puts the crossover below 16 for the AVX-512 kernel
+// and between 16 and 32 for the AVX2 one (docs/KERNELS.md §2), so 32
+// packs the planner's 64x64 tiles and most fringe tiles on either ISA.
+constexpr int64_t kPackedMinDim = 32;
+// Below this depth a microtile's C load and store outweigh its k sweep.
+constexpr int64_t kPackedMinDepth = 8;
+
+// Pack panels start on a cache line, so the vector loads of B rows and
+// A slices never straddle two lines whatever state the allocator is in.
+constexpr uintptr_t kPanelAlign = 64;
 
 /// Pool for pack buffers: steady-state iterative workloads (fig4c) run
 /// the same GEMM shapes hundreds of times, so panel buffers are recycled
@@ -38,61 +38,69 @@ VectorPool<double>& PackPool() {
   return *pool;
 }
 
+/// Sizes `buf` for `n` doubles starting on a kPanelAlign boundary and
+/// returns that start.
+double* AlignedPanel(PooledVec<double>* buf, int64_t n) {
+  constexpr int64_t kSlack = kPanelAlign / sizeof(double) - 1;
+  (*buf)->resize(static_cast<size_t>(n + kSlack));
+  double* p = (*buf)->data();
+  const uintptr_t misalign = reinterpret_cast<uintptr_t>(p) % kPanelAlign;
+  return misalign == 0 ? p : p + (kPanelAlign - misalign) / sizeof(double);
+}
+
 /// Packs the A row-panel [i0, i0+mr) x [0, l) into k-major order:
-/// apack[k * kMr + r] = a(i0 + r, k), zero-padded to kMr rows.
+/// apack[k * MR + r] = a(i0 + r, k), zero-padded to MR rows.
+template <int64_t MR>
 void PackA(const double* __restrict pa, int64_t l, int64_t i0, int64_t mr,
            double* __restrict apack) {
   for (int64_t k = 0; k < l; ++k) {
-    double* __restrict dst = apack + k * kMr;
+    double* __restrict dst = apack + k * MR;
     for (int64_t r = 0; r < mr; ++r) dst[r] = pa[(i0 + r) * l + k];
-    for (int64_t r = mr; r < kMr; ++r) dst[r] = 0.0;
+    for (int64_t r = mr; r < MR; ++r) dst[r] = 0.0;
   }
 }
 
-/// Packs all of B into kNr-wide column panels, each k-major:
-/// bpack[panel * (l * kNr) + k * kNr + c] = b(k, j0 + c), zero-padded to
-/// kNr columns per panel.
+/// Packs all of B into NR-wide column panels, each k-major:
+/// bpack[panel * (l * NR) + k * NR + c] = b(k, j0 + c), zero-padded to
+/// NR columns per panel.
+template <int64_t NR>
 void PackB(const double* __restrict pb, int64_t l, int64_t n,
            double* __restrict bpack) {
-  const int64_t panels = (n + kNr - 1) / kNr;
+  const int64_t panels = (n + NR - 1) / NR;
   for (int64_t p = 0; p < panels; ++p) {
-    const int64_t j0 = p * kNr;
-    const int64_t nr = std::min(kNr, n - j0);
-    double* __restrict panel = bpack + p * l * kNr;
+    const int64_t j0 = p * NR;
+    const int64_t nr = std::min(NR, n - j0);
+    double* __restrict panel = bpack + p * l * NR;
     for (int64_t k = 0; k < l; ++k) {
       const double* __restrict src = pb + k * n + j0;
-      double* __restrict dst = panel + k * kNr;
+      double* __restrict dst = panel + k * NR;
       for (int64_t c = 0; c < nr; ++c) dst[c] = src[c];
-      for (int64_t c = nr; c < kNr; ++c) dst[c] = 0.0;
+      for (int64_t c = nr; c < NR; ++c) dst[c] = 0.0;
     }
   }
 }
 
-/// kMr x kNr register microkernel, portable scalar form: acc is loaded
-/// from C, then every k term is added in ascending order (no k-blocking),
-/// so each element's accumulation chain matches the unpacked i-k-j loop
-/// bit for bit. Handles fringe tiles (mr < kMr or nr < kNr) via zeroed
-/// pad lanes that are never written back.
-void MicroKernelScalar(const double* __restrict apack,
-                       const double* __restrict bpack, int64_t l,
-                       double* __restrict pc, int64_t ldc, int64_t mr,
-                       int64_t nr) {
-  double acc[kMr][kNr];
-  for (int64_t r = 0; r < mr; ++r) {
-    for (int64_t c = 0; c < nr; ++c) acc[r][c] = pc[r * ldc + c];
-  }
-  for (int64_t r = mr; r < kMr; ++r) {
-    for (int64_t c = 0; c < kNr; ++c) acc[r][c] = 0.0;
-  }
-  for (int64_t r = 0; r < mr; ++r) {
-    for (int64_t c = nr; c < kNr; ++c) acc[r][c] = 0.0;
+/// Fringe microtile (mr < MR or nr < NR) of an MR x NR geometry, portable
+/// scalar form: acc is loaded from C, then every k term is added in
+/// ascending order (no k-blocking), so each element's accumulation chain
+/// matches the unpacked i-k-j loop bit for bit. Zeroed pad lanes are
+/// never written back.
+template <int64_t MR, int64_t NR>
+void ScalarTile(const double* __restrict apack,
+                const double* __restrict bpack, int64_t l,
+                double* __restrict pc, int64_t ldc, int64_t mr, int64_t nr) {
+  double acc[MR][NR];
+  for (int64_t r = 0; r < MR; ++r) {
+    for (int64_t c = 0; c < NR; ++c) {
+      acc[r][c] = (r < mr && c < nr) ? pc[r * ldc + c] : 0.0;
+    }
   }
   for (int64_t k = 0; k < l; ++k) {
-    const double* __restrict ak = apack + k * kMr;
-    const double* __restrict bk = bpack + k * kNr;
-    for (int64_t r = 0; r < kMr; ++r) {
+    const double* __restrict ak = apack + k * MR;
+    const double* __restrict bk = bpack + k * NR;
+    for (int64_t r = 0; r < MR; ++r) {
       const double arv = ak[r];
-      for (int64_t c = 0; c < kNr; ++c) acc[r][c] += arv * bk[c];
+      for (int64_t c = 0; c < NR; ++c) acc[r][c] += arv * bk[c];
     }
   }
   for (int64_t r = 0; r < mr; ++r) {
@@ -100,106 +108,197 @@ void MicroKernelScalar(const double* __restrict apack,
   }
 }
 
+/// Full-tile signature: an MR x NR tile of C with leading dimension ldc.
+using FullTileFn = void (*)(const double* __restrict apack,
+                            const double* __restrict bpack, int64_t l,
+                            double* __restrict pc, int64_t ldc);
+
 #ifdef SAC_PACKED_X86_DISPATCH
 
-/// Full-tile 6x8 microkernel for AVX2 hosts, compiled per-function via
-/// the target attribute so the rest of the binary keeps the baseline ISA.
-/// 12 ymm accumulators + 2 B vectors + 1 A broadcast = 15 registers, no
-/// spills. Deliberately mul-then-add (never FMA, which target("avx2")
-/// cannot emit anyway): each lane performs the same two IEEE roundings as
-/// the scalar kernel, in the same ascending-k order, so results stay
-/// byte-identical across the dispatch.
-__attribute__((target("avx2"))) void MicroKernelAvx2(
+/// Full MR x NR tile on vectors V of doubles: MR x (NR / lanes)
+/// accumulators, NR / lanes B vectors and one A broadcast per k. Always
+/// inlined into a target-attributed wrapper, which sets the ISA the
+/// vector arithmetic compiles to; the rest of the binary keeps the
+/// baseline ISA. Each lane multiplies, rounds, then adds -- the same two
+/// IEEE roundings as ScalarTile, in the same ascending k -- which holds
+/// only because the library builds with -ffp-contract=off
+/// (src/CMakeLists.txt); contracted into FMA the chain would round once.
+template <int64_t MR, int64_t NR, typename V>
+[[gnu::always_inline]] inline void VectorTile(
     const double* __restrict apack, const double* __restrict bpack,
     int64_t l, double* __restrict pc, int64_t ldc) {
-  __m256d acc[kMr][2];
-  for (int64_t r = 0; r < kMr; ++r) {
-    acc[r][0] = _mm256_loadu_pd(pc + r * ldc);
-    acc[r][1] = _mm256_loadu_pd(pc + r * ldc + 4);
-  }
-  for (int64_t k = 0; k < l; ++k) {
-    const double* __restrict ak = apack + k * kMr;
-    const double* __restrict bk = bpack + k * kNr;
-    const __m256d b0 = _mm256_loadu_pd(bk);
-    const __m256d b1 = _mm256_loadu_pd(bk + 4);
-    for (int64_t r = 0; r < kMr; ++r) {
-      const __m256d av = _mm256_set1_pd(ak[r]);
-      acc[r][0] = _mm256_add_pd(acc[r][0], _mm256_mul_pd(av, b0));
-      acc[r][1] = _mm256_add_pd(acc[r][1], _mm256_mul_pd(av, b1));
+  constexpr int64_t kLanes = sizeof(V) / sizeof(double);
+  constexpr int64_t kVecs = NR / kLanes;
+  static_assert(NR % kLanes == 0, "NR must be a whole number of vectors");
+  V acc[MR][kVecs];
+#pragma GCC unroll 16
+  for (int64_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kVecs; ++v) {
+      std::memcpy(&acc[r][v], pc + r * ldc + v * kLanes, sizeof(V));
     }
   }
-  for (int64_t r = 0; r < kMr; ++r) {
-    _mm256_storeu_pd(pc + r * ldc, acc[r][0]);
-    _mm256_storeu_pd(pc + r * ldc + 4, acc[r][1]);
+  for (int64_t k = 0; k < l; ++k) {
+    const double* __restrict ak = apack + k * MR;
+    V b[kVecs];
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kVecs; ++v) {
+      std::memcpy(&b[v], bpack + k * NR + v * kLanes, sizeof(V));
+    }
+#pragma GCC unroll 16
+    for (int64_t r = 0; r < MR; ++r) {
+      const double ar = ak[r];
+#pragma GCC unroll 16
+      for (int64_t v = 0; v < kVecs; ++v) acc[r][v] = acc[r][v] + ar * b[v];
+    }
+  }
+#pragma GCC unroll 16
+  for (int64_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kVecs; ++v) {
+      std::memcpy(pc + r * ldc + v * kLanes, &acc[r][v], sizeof(V));
+    }
   }
 }
 
-bool HaveAvx2() {
-  static const bool have = __builtin_cpu_supports("avx2") != 0;
-  return have;
+typedef double Zmm __attribute__((vector_size(64)));
+typedef double Ymm __attribute__((vector_size(32)));
+
+/// AVX-512F 8x16: 16 zmm accumulators + 2 B vectors + 1 A broadcast = 19
+/// of 32 registers, no spills.
+__attribute__((target("avx512f"))) void Avx512Tile(
+    const double* __restrict apack, const double* __restrict bpack,
+    int64_t l, double* __restrict pc, int64_t ldc) {
+  VectorTile<8, 16, Zmm>(apack, bpack, l, pc, ldc);
+}
+
+/// AVX2 6x8: 12 ymm accumulators + 2 B vectors + 1 A broadcast = 15 of
+/// 16 registers, no spills.
+__attribute__((target("avx2"))) void Avx2Tile(
+    const double* __restrict apack, const double* __restrict bpack,
+    int64_t l, double* __restrict pc, int64_t ldc) {
+  VectorTile<6, 8, Ymm>(apack, bpack, l, pc, ldc);
 }
 
 #endif  // SAC_PACKED_X86_DISPATCH
 
-/// Dispatch: full tiles take the widest kernel the host supports, fringe
-/// tiles (and non-x86 or pre-AVX2 hosts) take the scalar form. Both sum
+/// The packed path for one kernel geometry: B is packed whole, then one C
+/// row-strip at a time packs its A panel and sweeps every B panel over
+/// it. Full tiles take `Full`; fringe tiles take ScalarTile, which sums
 /// identically per element, so the split is invisible to results.
-inline void MicroKernel(const double* __restrict apack,
-                        const double* __restrict bpack, int64_t l,
-                        double* __restrict pc, int64_t ldc, int64_t mr,
-                        int64_t nr) {
-#ifdef SAC_PACKED_X86_DISPATCH
-  if (mr == kMr && nr == kNr && HaveAvx2()) {
-    MicroKernelAvx2(apack, bpack, l, pc, ldc);
-    return;
-  }
-#endif
-  MicroKernelScalar(apack, bpack, l, pc, ldc, mr, nr);
-}
-
-}  // namespace
-
-int64_t PackedGemmThreshold() { return kPackedMinDim; }
-
-bool PackedGemmWouldPack(int64_t m, int64_t l, int64_t n) {
-  return std::min(m, n) >= kPackedMinDim && l >= kMr;
-}
-
-void PackedGemmAccum(const Tile& a, const Tile& b, Tile* out) {
-  SAC_CHECK_EQ(a.cols(), b.rows());
-  if (out->rows() == 0 && out->cols() == 0) *out = Tile(a.rows(), b.cols());
-  SAC_CHECK_EQ(out->rows(), a.rows());
-  SAC_CHECK_EQ(out->cols(), b.cols());
+template <int64_t MR, int64_t NR, FullTileFn Full>
+void RunPacked(const Tile& a, const Tile& b, Tile* out) {
   const int64_t m = a.rows(), l = a.cols(), n = b.cols();
-  if (!PackedGemmWouldPack(m, l, n)) {
-    GemmAccum(a, b, out);
-    return;
-  }
   const double* pa = a.data();
   const double* pb = b.data();
   double* pc = out->data();
 
-  const int64_t b_panels = (n + kNr - 1) / kNr;
+  const int64_t b_panels = (n + NR - 1) / NR;
   PooledVec<double> bbuf = AcquirePooled(&PackPool());
-  bbuf->resize(static_cast<size_t>(b_panels * l * kNr));
-  PackB(pb, l, n, bbuf->data());
+  double* bpack = AlignedPanel(&bbuf, b_panels * l * NR);
+  PackB<NR>(pb, l, n, bpack);
 
   PooledVec<double> abuf = AcquirePooled(&PackPool());
-  abuf->resize(static_cast<size_t>(l * kMr));
+  double* apack = AlignedPanel(&abuf, l * MR);
 
-  // One C row-strip at a time: pack the A panel once, then sweep every B
-  // panel over it (B is already fully packed and stays cache-warm
-  // panel-by-panel).
-  for (int64_t i0 = 0; i0 < m; i0 += kMr) {
-    const int64_t mr = std::min(kMr, m - i0);
-    PackA(pa, l, i0, mr, abuf->data());
+  for (int64_t i0 = 0; i0 < m; i0 += MR) {
+    const int64_t mr = std::min(MR, m - i0);
+    PackA<MR>(pa, l, i0, mr, apack);
     for (int64_t p = 0; p < b_panels; ++p) {
-      const int64_t j0 = p * kNr;
-      const int64_t nr = std::min(kNr, n - j0);
-      MicroKernel(abuf->data(), bbuf->data() + p * l * kNr, l,
-                  pc + i0 * n + j0, n, mr, nr);
+      const int64_t j0 = p * NR;
+      const int64_t nr = std::min(NR, n - j0);
+      const double* panel = bpack + p * l * NR;
+      double* c = pc + i0 * n + j0;
+      if (mr == MR && nr == NR) {
+        Full(apack, panel, l, c, n);
+      } else {
+        ScalarTile<MR, NR>(apack, panel, l, c, n, mr, nr);
+      }
     }
   }
+}
+
+void RunWith(MicroKernel kernel, const Tile& a, const Tile& b, Tile* out) {
+  switch (kernel) {
+#ifdef SAC_PACKED_X86_DISPATCH
+    case MicroKernel::kAvx512:
+      return RunPacked<8, 16, &Avx512Tile>(a, b, out);
+    case MicroKernel::kAvx2:
+      return RunPacked<6, 8, &Avx2Tile>(a, b, out);
+#endif
+    default:
+      SAC_CHECK(false) << "microkernel not built for this target";
+  }
+}
+
+/// Checks shapes and sizes a 0x0 `out` for out += a * b.
+void PrepareOut(const Tile& a, const Tile& b, Tile* out) {
+  SAC_CHECK_EQ(a.cols(), b.rows());
+  if (out->rows() == 0 && out->cols() == 0) *out = Tile(a.rows(), b.cols());
+  SAC_CHECK_EQ(out->rows(), a.rows());
+  SAC_CHECK_EQ(out->cols(), b.cols());
+}
+
+}  // namespace
+
+std::string_view MicroKernelName(MicroKernel kernel) {
+  switch (kernel) {
+    case MicroKernel::kAvx512:
+      return "avx512";
+    case MicroKernel::kAvx2:
+      return "avx2";
+  }
+  return "unknown";
+}
+
+bool MicroKernelSupported(MicroKernel kernel) {
+  switch (kernel) {
+#ifdef SAC_PACKED_X86_DISPATCH
+    case MicroKernel::kAvx512:
+      return __builtin_cpu_supports("avx512f") != 0;
+    case MicroKernel::kAvx2:
+      return __builtin_cpu_supports("avx2") != 0;
+#endif
+    default:
+      return false;
+  }
+}
+
+std::optional<MicroKernel> PackedMicroKernel() {
+  static const std::optional<MicroKernel> kernel =
+      []() -> std::optional<MicroKernel> {
+    for (MicroKernel k : {MicroKernel::kAvx512, MicroKernel::kAvx2}) {
+      if (MicroKernelSupported(k)) return k;
+    }
+    return std::nullopt;
+  }();
+  return kernel;
+}
+
+int64_t PackedGemmThreshold() { return kPackedMinDim; }
+
+bool PackedGemmWouldPack(int64_t m, int64_t l, int64_t n) {
+  // Packing pays only with a vector microkernel: a scalar full-tile kernel
+  // runs at about half the unpacked loop's speed from 64^3 to 512^3
+  // (docs/KERNELS.md section 2), so a host without one never packs.
+  return PackedMicroKernel().has_value() &&
+         std::min(m, n) >= kPackedMinDim && l >= kPackedMinDepth;
+}
+
+void PackedGemmAccum(const Tile& a, const Tile& b, Tile* out) {
+  PrepareOut(a, b, out);
+  if (!PackedGemmWouldPack(a.rows(), a.cols(), b.cols())) {
+    GemmAccum(a, b, out);
+    return;
+  }
+  RunWith(*PackedMicroKernel(), a, b, out);
+}
+
+void PackedGemmAccumWith(MicroKernel kernel, const Tile& a, const Tile& b,
+                         Tile* out) {
+  SAC_CHECK(MicroKernelSupported(kernel));
+  PrepareOut(a, b, out);
+  RunWith(kernel, a, b, out);
 }
 
 }  // namespace sac::la

@@ -209,13 +209,13 @@ bool FinalizeIsIdentity(const AggDecomposition& d) {
          d.finalize->str_val == "$agg0";
 }
 
-/// Returns a tile oriented so dimension `want_first` of (row, col) comes
-/// first; transposes a copy when needed.
-la::Tile Oriented(const la::Tile& t, bool transpose) {
+/// Returns `t` itself, or its transpose written into the caller-owned
+/// `scratch` when `transpose`: a tile is copied only when it must turn.
+const la::Tile& Oriented(const la::Tile& t, bool transpose,
+                         la::Tile* scratch) {
   if (!transpose) return t;
-  la::Tile out;
-  la::Transpose(t, &out);
-  return out;
+  la::Transpose(t, scratch);
+  return *scratch;
 }
 
 // ---- the shared matmul-shaped analysis (5.3 two-generator / 5.4) ----------
@@ -593,8 +593,9 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
               [=](const Value& row) -> Value {
                 const Value& av = row.At(1).At(0);
                 const Value& bv = row.At(1).At(1);
-                const la::Tile a =
-                    Oriented(av.At(1).AsTile(), a_swap);
+                la::Tile a_turned, b_turned;
+                const la::Tile& a =
+                    Oriented(av.At(1).AsTile(), a_swap, &a_turned);
                 Value out_key;
                 ValueVec accs_v;
                 if (js.b_is_vector) {
@@ -610,7 +611,8 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
                     accs_v.push_back(Value::TileVal(std::move(t)));
                   }
                 } else {
-                  const la::Tile b = Oriented(bv.At(1).AsTile(), b_swap);
+                  const la::Tile& b =
+                      Oriented(bv.At(1).AsTile(), b_swap, &b_turned);
                   out_key = runtime::VTuple({av.At(0), bv.At(0)});
                   std::vector<la::Tile> accs;
                   for (ReduceOp op : ops) {
@@ -1017,12 +1019,15 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
                 accs.push_back(FilledTile(r, ccols, MonoidIdentity(op)));
               }
               bool any = false;
+              la::Tile a_turned, b_turned;
               for (const Value& av : a_list) {
                 auto it = b_by_k.find(av.At(0).AsInt());
                 if (it == b_by_k.end()) continue;
-                const la::Tile a = Oriented(av.At(1).AsTile(), a_swap);
+                const la::Tile& a =
+                    Oriented(av.At(1).AsTile(), a_swap, &a_turned);
                 for (const Value* bv : it->second) {
-                  const la::Tile b = Oriented(bv->At(1).AsTile(), b_swap);
+                  const la::Tile& b =
+                      Oriented(bv->At(1).AsTile(), b_swap, &b_turned);
                   AccumulatePair(js, a, b, false, kbk, &accs);
                   any = true;
                 }

@@ -1,6 +1,10 @@
 #include "src/la/kernels.h"
 
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -13,6 +17,11 @@
 #include "src/la/tile.h"
 
 namespace sac::la {
+
+void PrintTo(MicroKernel kernel, std::ostream* os) {
+  *os << MicroKernelName(kernel);
+}
+
 namespace {
 
 Tile RandomTile(int64_t r, int64_t c, uint64_t seed) {
@@ -257,8 +266,8 @@ TEST_P(BackendTest, ElementwiseByteIdenticalToGeneric) {
 
 TEST_P(BackendTest, GemmEdgeShapesMatchOracleAndGeneric) {
   const KernelBackend* g = GetBackend(BackendKind::kGeneric);
-  // Non-multiple-of-block dims, degenerate 1xN / Nx1, empty tiles, and one
-  // shape above the packing threshold (min(m,n) >= 128).
+  // Non-multiple-of-block dims, degenerate 1xN / Nx1, empty tiles, and
+  // shapes on both sides of the packing threshold (min(m,n) >= 32).
   const std::tuple<int, int, int> shapes[] = {
       {65, 3, 65},   {65, 17, 65}, {1, 7, 5},      {5, 7, 1},
       {1, 1, 1},     {0, 5, 3},    {3, 0, 5},      {5, 3, 0},
@@ -313,11 +322,64 @@ TEST(BackendLookupTest, UnknownNameReturnsNull) {
 }
 
 TEST(PackedGemmTest, SmallShapesForwardToUnpacked) {
-  EXPECT_FALSE(PackedGemmWouldPack(64, 64, 64));
-  EXPECT_FALSE(PackedGemmWouldPack(512, 4, 512));  // k below microkernel
-  EXPECT_TRUE(PackedGemmWouldPack(128, 8, 128));
-  EXPECT_TRUE(PackedGemmWouldPack(512, 512, 512));
-  EXPECT_GE(PackedGemmThreshold(), 1);
+  EXPECT_EQ(PackedGemmThreshold(), 32);
+  EXPECT_FALSE(PackedGemmWouldPack(31, 64, 64));
+  EXPECT_FALSE(PackedGemmWouldPack(64, 64, 31));
+  EXPECT_FALSE(PackedGemmWouldPack(512, 7, 512));  // k below the depth floor
+  // Without a vector microkernel nothing packs.
+  const bool vector = PackedMicroKernel().has_value();
+  EXPECT_EQ(PackedGemmWouldPack(64, 64, 64), vector);  // the default tile
+  EXPECT_EQ(PackedGemmWouldPack(32, 64, 32), vector);
+  EXPECT_EQ(PackedGemmWouldPack(128, 8, 128), vector);
+  EXPECT_EQ(PackedGemmWouldPack(512, 512, 512), vector);
+}
+
+TEST(PackedGemmTest, RunsTheWidestSupportedMicroKernel) {
+  const std::optional<MicroKernel> k = PackedMicroKernel();
+  if (MicroKernelSupported(MicroKernel::kAvx512)) {
+    EXPECT_EQ(k, MicroKernel::kAvx512);
+  } else if (MicroKernelSupported(MicroKernel::kAvx2)) {
+    EXPECT_EQ(k, MicroKernel::kAvx2);
+  } else {
+    EXPECT_EQ(k, std::nullopt);
+  }
+}
+
+// Every microkernel the host runs must match la::GemmAccum bit for bit on
+// tile-sized shapes: full and fringe microtiles on both axes, depths that
+// are and are not multiples of the register tile, accumulating into an
+// existing C.
+class MicroKernelTest : public ::testing::TestWithParam<MicroKernel> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMicroKernels, MicroKernelTest,
+    ::testing::Values(MicroKernel::kAvx512, MicroKernel::kAvx2),
+    [](const ::testing::TestParamInfo<MicroKernel>& info) {
+      return std::string(MicroKernelName(info.param));
+    });
+
+TEST_P(MicroKernelTest, ByteIdenticalToGemmAccum) {
+  if (!MicroKernelSupported(GetParam())) {
+    GTEST_SKIP() << MicroKernelName(GetParam()) << " not supported here";
+  }
+  const int64_t dims[] = {32, 37, 64, 65, 71, 128, 130, 136};
+  const int64_t depths[] = {8, 9, 17, 64, 127};
+  for (int64_t m : dims) {
+    for (int64_t n : dims) {
+      for (int64_t l : depths) {
+        SCOPED_TRACE(::testing::Message() << m << "x" << l << "x" << n);
+        const auto seed = static_cast<uint64_t>(m * 1000000 + l * 1000 + n);
+        Tile a = RandomTile(m, l, seed), b = RandomTile(l, n, seed + 1);
+        Tile ours = RandomTile(m, n, seed + 2), ref = ours;
+        PackedGemmAccumWith(GetParam(), a, b, &ours);
+        GemmAccum(a, b, &ref);
+        ASSERT_EQ(ours.size(), ref.size());
+        EXPECT_EQ(std::memcmp(ours.data(), ref.data(),
+                              sizeof(double) * static_cast<size_t>(ref.size())),
+                  0);
+      }
+    }
+  }
 }
 
 // ---- fused elementwise pipelines (src/la/fused.h) -----------------------
