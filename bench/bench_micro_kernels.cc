@@ -1,13 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the primitive layers: dense
-// kernels vs jvmlike kernels, Value serialization, and one engine shuffle.
+// kernels vs jvmlike kernels, Value serialization, the wire CRC, and one
+// engine shuffle.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/la/jvmlike.h"
 #include "src/la/kernels.h"
 #include "src/la/packed_gemm.h"
+#include "src/net/frame.h"
 #include "src/runtime/engine.h"
 
 namespace {
@@ -128,6 +132,31 @@ void BM_ValueTileSerialize(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * n * n * 8);
 }
 BENCHMARK(BM_ValueTileSerialize)->Arg(128)->Arg(256);
+
+/// The frame CRC on one path (0 portable slicing-by-8, 1 CLMUL fold)
+/// over a hot buffer: the fold's switch-over is where path 1 passes
+/// path 0 (docs/DISTRIBUTED.md).
+void BM_Crc32(benchmark::State& state) {
+  const bool clmul = state.range(0) == 1;
+  if (clmul && !sac::net::Crc32ClmulSupported()) {
+    state.SkipWithError("PCLMULQDQ not supported on this host");
+    return;
+  }
+  const auto extend =
+      clmul ? &sac::net::Crc32ExtendClmul : &sac::net::Crc32ExtendPortable;
+  const size_t n = static_cast<size_t>(state.range(1));
+  std::vector<uint8_t> buf(n);
+  Rng rng(7);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = extend(crc, buf.data(), n);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->ArgsProduct(
+    {{0, 1}, {16, 64, 256, 4 << 10, 64 << 10, 1 << 20}});
 
 void BM_EngineReduceByKey(benchmark::State& state) {
   using namespace sac::runtime;  // NOLINT

@@ -3,6 +3,13 @@
 #include <cstring>
 #include <string>
 
+#include "src/common/logging.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SAC_CRC_X86_DISPATCH 1
+#include <immintrin.h>
+#endif
+
 namespace sac::net {
 
 namespace {
@@ -115,16 +122,10 @@ inline uint32_t Step8(const uint32_t (&t)[8][256], uint32_t c,
 /// combines (each a few dozen carry-less multiply steps).
 constexpr size_t kInterleaveMinBytes = 4096;
 
-}  // namespace
-
-uint32_t Crc32(const uint8_t* data, size_t n) {
-  return Crc32Extend(0, data, n);
-}
-
-uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t n) {
+/// The slicing-by-8 path in the register domain (~crc in, register out).
+uint32_t PortableUpdate(uint32_t c, const uint8_t* data, size_t n) {
   const CrcTables& tables = Tables();
   const auto& t = tables.t;
-  uint32_t c = ~crc;
   if (n >= kInterleaveMinBytes) {
     // Three streams over consecutive thirds, in lockstep: one stream's
     // step waits on its previous step's lookups, so a single stream
@@ -150,7 +151,124 @@ uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t n) {
   for (; n > 0; ++data, --n) {
     c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
   }
-  return ~c;
+  return c;
+}
+
+#ifdef SAC_CRC_X86_DISPATCH
+
+inline __m128i Load128(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// One fold step: the 128-bit remainder `a` carried forward by the
+/// distance `k` encodes (low half times k's low constant, high half
+/// times its high one), plus the block that sits there, `next`.
+__attribute__((target("pclmul"))) inline __m128i Fold(__m128i a, __m128i k,
+                                                      __m128i next) {
+  const __m128i lo = _mm_clmulepi64_si128(a, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(a, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(hi, lo), next);
+}
+
+/// The carry-less-multiply fold (Gopal et al., "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009), as
+/// zlib and Linux's crc32-pclmul run it for the reflected IEEE
+/// polynomial. Register domain, like PortableUpdate; `n` is a multiple
+/// of 16 and at least 64. Four 128-bit lanes each fold 64 bytes ahead
+/// per step, the lanes fold into one, leftover 16-byte blocks fold into
+/// it, and a Barrett reduction takes the 128-bit remainder to 32 bits.
+/// Each constant is x^e mod P, bit-reflected and shifted left by one
+/// (the reflected product of two 64-bit halves is one bit short). Only
+/// PCLMULQDQ and SSE2 are used, so the target needs `pclmul` alone.
+__attribute__((target("pclmul"))) uint32_t ClmulFold(uint32_t c,
+                                                     const uint8_t* p,
+                                                     size_t n) {
+  // Low half x^(512+32), high x^(512-32): a lane 64 bytes ahead.
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  // Low half x^(128+32), high x^(128-32): 16 bytes ahead.
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);  // x^64
+  // Barrett: low half P, high half mu = floor(x^64 / P).
+  const __m128i poly = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i mask32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  __m128i x1 =
+      _mm_xor_si128(Load128(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x2 = Load128(p + 16);
+  __m128i x3 = Load128(p + 32);
+  __m128i x4 = Load128(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x1 = Fold(x1, k1k2, Load128(p));
+    x2 = Fold(x2, k1k2, Load128(p + 16));
+    x3 = Fold(x3, k1k2, Load128(p + 32));
+    x4 = Fold(x4, k1k2, Load128(p + 48));
+  }
+  x1 = Fold(x1, k3k4, x2);
+  x1 = Fold(x1, k3k4, x3);
+  x1 = Fold(x1, k3k4, x4);
+  for (; n >= 16; p += 16, n -= 16) x1 = Fold(x1, k3k4, Load128(p));
+
+  // 128 -> 64 bits, then 64 -> 32 with the Barrett reduction.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(
+      _mm_srli_si128(x1, 4),
+      _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k5, 0x00));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly, 0x00);
+  x1 = _mm_xor_si128(x1, t);
+  return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(x1, 4)));
+}
+
+#endif  // SAC_CRC_X86_DISPATCH
+
+/// The fold needs four lanes' worth of input. bench_micro_kernels
+/// (BM_Crc32) measures it ahead of slicing-by-8 from there up
+/// (docs/DISTRIBUTED.md), so shorter inputs stay on the table path.
+constexpr size_t kClmulMinBytes = 64;
+
+/// The CLMUL path: the largest multiple of 16 bytes through the fold when
+/// there are at least kClmulMinBytes, the rest through the tables.
+uint32_t ClmulUpdate(uint32_t c, const uint8_t* data, size_t n) {
+#ifdef SAC_CRC_X86_DISPATCH
+  if (n >= kClmulMinBytes) {
+    const size_t bulk = n & ~size_t{15};
+    c = ClmulFold(c, data, bulk);
+    data += bulk;
+    n -= bulk;
+  }
+#endif
+  return PortableUpdate(c, data, n);
+}
+
+}  // namespace
+
+uint32_t Crc32(const uint8_t* data, size_t n) {
+  return Crc32Extend(0, data, n);
+}
+
+uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t n) {
+  static const bool clmul = Crc32ClmulSupported();
+  return ~(clmul ? ClmulUpdate(~crc, data, n) : PortableUpdate(~crc, data, n));
+}
+
+uint32_t Crc32ExtendPortable(uint32_t crc, const uint8_t* data, size_t n) {
+  return ~PortableUpdate(~crc, data, n);
+}
+
+bool Crc32ClmulSupported() {
+#ifdef SAC_CRC_X86_DISPATCH
+  return __builtin_cpu_supports("pclmul") != 0;
+#else
+  return false;
+#endif
+}
+
+uint32_t Crc32ExtendClmul(uint32_t crc, const uint8_t* data, size_t n) {
+  SAC_CHECK(Crc32ClmulSupported());
+  return ~ClmulUpdate(~crc, data, n);
 }
 
 std::vector<ByteView> PayloadPieces(const Frame& f,

@@ -50,13 +50,22 @@ inline constexpr size_t kFrameHeaderBytes = 24;
 /// header from driving a multi-gigabyte allocation.
 inline constexpr size_t kMaxFramePayload = 256u << 20;  // 256 MiB
 
-/// IEEE CRC-32 (the zlib polynomial), slicing-by-8: eight table lookups
-/// per 8 input bytes, over three interleaved streams once the input is
-/// 4 KiB or more. Portable C++, no CPU dispatch.
+/// IEEE CRC-32 (the zlib polynomial). On x86-64 hosts with PCLMULQDQ
+/// (checked once per process) inputs of 64 bytes or more fold 16-byte
+/// blocks by carry-less multiplication; elsewhere, and for short inputs
+/// and the last < 16 bytes, it runs slicing-by-8: eight table lookups
+/// per 8 input bytes, over three interleaved streams from 4 KiB up.
+/// Both paths give the same values (docs/DISTRIBUTED.md).
 uint32_t Crc32(const uint8_t* data, size_t n);
 /// Continues a finished CRC-32 over `n` more bytes:
 /// Crc32Extend(Crc32(a), b) == Crc32(a followed by b).
 uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t n);
+
+/// Test and benchmark seams: Crc32Extend on one path, whatever the host
+/// would pick. The CLMUL path requires Crc32ClmulSupported().
+uint32_t Crc32ExtendPortable(uint32_t crc, const uint8_t* data, size_t n);
+uint32_t Crc32ExtendClmul(uint32_t crc, const uint8_t* data, size_t n);
+bool Crc32ClmulSupported();
 
 /// Bytes a sender keeps alive until the frame carrying them is sent.
 struct ByteView {

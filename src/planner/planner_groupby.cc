@@ -1018,13 +1018,23 @@ Result<CompiledQuery> TryGroupByJoin(const QueryShape& shape,
               for (ReduceOp op : ops) {
                 accs.push_back(FilledTile(r, ccols, MonoidIdentity(op)));
               }
+              // Sum over k ascending: a_list arrives in map-partition
+              // order, so summing as it comes would make each cell's
+              // rounding depend on the partition count.
+              std::vector<const Value*> a_by_k;
+              a_by_k.reserve(a_list.size());
+              for (const Value& av : a_list) a_by_k.push_back(&av);
+              std::stable_sort(a_by_k.begin(), a_by_k.end(),
+                               [](const Value* x, const Value* y) {
+                                 return x->At(0).AsInt() < y->At(0).AsInt();
+                               });
               bool any = false;
               la::Tile a_turned, b_turned;
-              for (const Value& av : a_list) {
-                auto it = b_by_k.find(av.At(0).AsInt());
+              for (const Value* av : a_by_k) {
+                auto it = b_by_k.find(av->At(0).AsInt());
                 if (it == b_by_k.end()) continue;
                 const la::Tile& a =
-                    Oriented(av.At(1).AsTile(), a_swap, &a_turned);
+                    Oriented(av->At(1).AsTile(), a_swap, &a_turned);
                 for (const Value* bv : it->second) {
                   const la::Tile& b =
                       Oriented(bv->At(1).AsTile(), b_swap, &b_turned);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -9,6 +11,7 @@
 
 #include "src/api/algorithms.h"
 #include "src/api/sac.h"
+#include "src/la/kernels.h"
 #include "src/runtime/engine.h"
 
 namespace sac::runtime {
@@ -245,6 +248,65 @@ TEST(EngineGridShuffleTest, ProductsAgreeAcrossPartitionCounts) {
       diff += d * d;
     }
     EXPECT_LE(std::sqrt(diff), 1e-12 * std::sqrt(ref_norm)) << p;
+  }
+}
+
+TEST(EngineGridShuffleTest, SummaProductsByteIdenticalAcrossPartitionCounts) {
+  // The 5.4 plan sums each output tile over k ascending whatever order
+  // the cogroup delivers its A tiles in, so the product is the same bytes
+  // at every partition count, on either backend, and equal to a plain
+  // k-ascending GemmAccum loop over the tiles.
+  constexpr int64_t kN = 640, kBlock = 64, kGrid = kN / kBlock;
+  std::optional<la::Tile> first;
+  for (const char* backend : {"packed", "generic"}) {
+    for (int parts : {3, 8, 13}) {
+      ClusterConfig cfg;
+      cfg.default_parallelism = parts;
+      cfg.kernel_backend = backend;
+      planner::PlannerOptions opts;
+      opts.auto_strategy = false;  // pin the 5.4 group-by-join (SUMMA) plan
+      Sac ctx(cfg, opts);
+      auto a = ctx.RandomMatrix(kN, kN, kBlock, 21).value();
+      auto b = ctx.RandomMatrix(kN, kN, kBlock, 22).value();
+      auto c = algo::Multiply(&ctx, a, b);
+      ASSERT_TRUE(c.ok());
+      const la::Tile product =
+          storage::ToLocal(&ctx.engine(), c.value()).value();
+      if (!first) {
+        // The reference, from the first run's inputs.
+        const la::Tile ta = storage::ToLocal(&ctx.engine(), a).value();
+        const la::Tile tb = storage::ToLocal(&ctx.engine(), b).value();
+        const auto block = [&](const la::Tile& m, int64_t bi, int64_t bj) {
+          la::Tile t(kBlock, kBlock);
+          for (int64_t i = 0; i < kBlock; ++i) {
+            for (int64_t j = 0; j < kBlock; ++j) {
+              t.Set(i, j, m.At(bi * kBlock + i, bj * kBlock + j));
+            }
+          }
+          return t;
+        };
+        la::Tile ref(kN, kN);
+        for (int64_t bi = 0; bi < kGrid; ++bi) {
+          for (int64_t bj = 0; bj < kGrid; ++bj) {
+            la::Tile acc(kBlock, kBlock);
+            for (int64_t k = 0; k < kGrid; ++k) {
+              la::GemmAccum(block(ta, bi, k), block(tb, k, bj), &acc);
+            }
+            for (int64_t i = 0; i < kBlock; ++i) {
+              for (int64_t j = 0; j < kBlock; ++j) {
+                ref.Set(bi * kBlock + i, bj * kBlock + j, acc.At(i, j));
+              }
+            }
+          }
+        }
+        first = std::move(ref);
+      }
+      ASSERT_EQ(product.size(), first->size());
+      EXPECT_EQ(std::memcmp(product.data(), first->data(),
+                            sizeof(double) * product.size()),
+                0)
+          << backend << " at " << parts << " partitions";
+    }
   }
 }
 
