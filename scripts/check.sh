@@ -27,9 +27,10 @@
 #      predictions within 2x of the measured counters on fig4a/b/c
 #      (docs/COST_MODEL.md)
 #   8c. backends: bench_abl_backend at tiny scale (packed GEMM >= 1.3x
-#      generic at n=64, the planner's default block, and at n=512; all
-#      three kernel backends byte-identical on fig4-shaped queries,
-#      fusion strictly reduces tile allocations; docs/KERNELS.md)
+#      the la::GemmAccum reference loop at n=64, the planner's default
+#      block, and at n=512; packed and jvmlike byte-identical on
+#      fig4-shaped queries and on a transpose+scale, where packed's fused
+#      pass allocates strictly fewer tiles; docs/KERNELS.md)
 #   8d. service: bench_abl_service --smoke (4 concurrent sessions must be
 #      >= 2x faster than serialized admission with byte-identical
 #      products, and the plan cache must show 1 miss + K-1 hits with
@@ -51,7 +52,9 @@
 #      BENCH_*.json vs BENCH_*.baseline.json via sac_prof diff)
 #  10. docs: scripts/check_docs_links.sh (no *.md relative link may point
 #      at a missing file) + scripts/check_metrics_glossary.sh (every
-#      MetricsSnapshot counter documented in docs/OPERATIONS.md)
+#      MetricsSnapshot counter documented in docs/OPERATIONS.md, every
+#      documented counter defined) + scripts/check_env_docs.sh (every
+#      SAC_* variable read is documented there, every documented one read)
 #  11. asan: AddressSanitizer+UBSan build, full test suite, then the
 #      4-session concurrent service smoke under ASan
 #  12. tsan: ThreadSanitizer build of the concurrency-sensitive tests
@@ -237,6 +240,9 @@ EOF
 
   echo "==> docs: metrics glossary drift check"
   scripts/check_metrics_glossary.sh
+
+  echo "==> docs: environment variable drift check"
+  scripts/check_env_docs.sh
 fi
 
 if [[ "$mode" == "all" || "$mode" == "--asan-only" ]]; then

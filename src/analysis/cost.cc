@@ -123,11 +123,7 @@ bool IsTiledSource(const PlanGraph& g, const std::string& name) {
 
 CostModel CostModelForBackend(const std::string& backend_name) {
   CostModel m;
-  if (backend_name == "packed") {
-    m.ns_per_flop = m.ns_per_flop_packed;
-  } else if (backend_name == "jvmlike") {
-    m.ns_per_flop = m.ns_per_flop_jvmlike;
-  }
+  if (backend_name == "jvmlike") m.ns_per_flop = m.ns_per_flop_jvmlike;
   return m;
 }
 

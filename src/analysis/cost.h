@@ -33,17 +33,17 @@ struct CostModel {
   // per-byte cost the fit can see (their per-record work is in tasks).
   double ns_per_local_byte = 0.0;
   double us_per_task = 110.0;       // scheduling + dispatch overhead
-  double ns_per_flop = 0.15;        // generic blocked tile kernels
-  /// Per-backend flop rates (docs/KERNELS.md): the packed microkernel
-  /// retires register-tiled FMAs, the jvmlike baseline pays a virtual
-  /// call per element access. Measured with bench_abl_backend.
-  double ns_per_flop_packed = 0.10;
+  /// Flop rates (docs/KERNELS.md): the native packed backend's blocked
+  /// loops and register-tiled microkernel, and the jvmlike baseline that
+  /// pays a virtual call per element access. Measured with
+  /// bench_abl_backend.
+  double ns_per_flop = 0.10;
   double ns_per_flop_jvmlike = 1.1;
 };
 
 /// The cost model with ns_per_flop substituted for the named kernel
-/// backend ("generic" / "packed" / "jvmlike"; unknown or empty names keep
-/// the generic rate). The planner passes ClusterConfig::kernel_backend so
+/// backend: "jvmlike" takes ns_per_flop_jvmlike, every other name the
+/// native rate. The planner passes ClusterConfig::kernel_backend so
 /// strategy choice reflects the flop rate the plan will actually run at.
 [[nodiscard]] CostModel CostModelForBackend(const std::string& backend_name);
 

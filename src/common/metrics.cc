@@ -147,9 +147,8 @@ std::string MetricsSnapshot::ToString() const {
     os << " peak_resident=" << peak_resident_bytes / (1024.0 * 1024.0)
        << "MB";
   }
-  if (flops_generic > 0 || flops_packed > 0 || flops_jvmlike > 0) {
-    os << " mflops_generic=" << flops_generic / 1e6
-       << " mflops_packed=" << flops_packed / 1e6
+  if (flops_packed > 0 || flops_jvmlike > 0) {
+    os << " mflops_packed=" << flops_packed / 1e6
        << " mflops_jvmlike=" << flops_jvmlike / 1e6;
   }
   if (tile_allocs > 0) os << " tile_allocs=" << tile_allocs;

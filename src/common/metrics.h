@@ -48,7 +48,6 @@ namespace sac {
   X(bytes_reloaded, kBytesReloaded, kStage)                    \
   X(reload_recomputes, kReloadRecomputes, kStage)              \
   X(peak_resident_bytes, kPeakResidentBytes, kGauge)           \
-  X(flops_generic, kFlopsGeneric, kStage)                      \
   X(flops_packed, kFlopsPacked, kStage)                        \
   X(flops_jvmlike, kFlopsJvmlike, kStage)                      \
   X(tile_allocs, kTileAllocs, kStage)                          \

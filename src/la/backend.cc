@@ -10,10 +10,13 @@ namespace sac::la {
 
 namespace {
 
-class GenericBackend : public KernelBackend {
+/// The native backend: the la:: blocked loops, with the matrix product
+/// through the packed microkernel (panel packing pays off only where
+/// O(n^3) dominates O(n^2)).
+class PackedBackend : public KernelBackend {
  public:
-  BackendKind kind() const override { return BackendKind::kGeneric; }
-  std::string_view name() const override { return "generic"; }
+  BackendKind kind() const override { return BackendKind::kPacked; }
+  std::string_view name() const override { return "packed"; }
 
   void Add(const Tile& a, const Tile& b, Tile* out) const override {
     la::Add(a, b, out);
@@ -35,7 +38,7 @@ class GenericBackend : public KernelBackend {
     la::AddInPlace(acc, t);
   }
   void GemmAccum(const Tile& a, const Tile& b, Tile* out) const override {
-    la::GemmAccum(a, b, out);
+    PackedGemmAccum(a, b, out);
   }
   void Transpose(const Tile& a, Tile* out) const override {
     la::Transpose(a, out);
@@ -47,18 +50,6 @@ class GenericBackend : public KernelBackend {
     la::ColSums(a, out);
   }
   double TotalSum(const Tile& a) const override { return la::TotalSum(a); }
-};
-
-/// Same elementwise/reduction loops as generic; only the matrix product
-/// differs (panel packing pays off only where O(n^3) dominates O(n^2)).
-class PackedBackend : public GenericBackend {
- public:
-  BackendKind kind() const override { return BackendKind::kPacked; }
-  std::string_view name() const override { return "packed"; }
-
-  void GemmAccum(const Tile& a, const Tile& b, Tile* out) const override {
-    PackedGemmAccum(a, b, out);
-  }
 };
 
 /// MLlib-model backend: every element access is a virtual call with a
@@ -151,30 +142,22 @@ class JvmlikeBackend : public KernelBackend {
 }  // namespace
 
 const KernelBackend* GetBackend(BackendKind kind) {
-  static const GenericBackend generic;
   static const PackedBackend packed;
   static const JvmlikeBackend jvm;
   switch (kind) {
-    case BackendKind::kGeneric:
-      return &generic;
     case BackendKind::kPacked:
       return &packed;
     case BackendKind::kJvmlike:
       return &jvm;
   }
   SAC_CHECK(false);
-  return &generic;
+  return &packed;
 }
 
 const KernelBackend* FindBackend(std::string_view name) {
-  if (name == "generic") return GetBackend(BackendKind::kGeneric);
   if (name == "packed") return GetBackend(BackendKind::kPacked);
   if (name == "jvmlike") return GetBackend(BackendKind::kJvmlike);
   return nullptr;
-}
-
-std::string_view BackendName(BackendKind kind) {
-  return GetBackend(kind)->name();
 }
 
 uint64_t GemmFlops(const Tile& a, const Tile& b) {
@@ -186,9 +169,6 @@ void MeterFlops(BackendKind kind, uint64_t flops) {
   if (flops == 0) return;
   const MeterSink& sink = MeterSink::Current();
   switch (kind) {
-    case BackendKind::kGeneric:
-      sink.Add(Counter::kFlopsGeneric, flops);
-      break;
     case BackendKind::kPacked:
       sink.Add(Counter::kFlopsPacked, flops);
       break;

@@ -1,24 +1,26 @@
 // Pluggable kernel backends (ROADMAP: "pluggable HPC kernel backends").
 // The planner's generated loop nests dispatch tile-level linear algebra
-// through a KernelBackend so the hot kernels can be swapped per engine --
-// compare Alchemist's externally-linked MPI/BLAS workers (PAPERS.md) --
-// and A/B-benchmarked without recompiling queries:
+// through a KernelBackend so the native kernels and the MLlib model can
+// be swapped per engine -- compare Alchemist's externally-linked MPI/BLAS
+// workers (PAPERS.md) -- and A/B-benchmarked without recompiling queries:
 //
-//   * generic -- the blocked, restrict'd loops in src/la/kernels.cc.
-//   * packed  -- generic, with GemmAccum routed through the register-
-//                tiled panel-packing kernel at the host's widest vector
-//                ISA, for products of 32x32 and up (src/la/packed_gemm.h).
+//   * packed  -- the native path: the blocked, restrict'd loops in
+//                src/la/kernels.cc, with GemmAccum routed through the
+//                register-tiled panel-packing kernel at the host's widest
+//                vector ISA for products of 32x32 and up
+//                (src/la/packed_gemm.h).
 //   * jvmlike -- virtual-dispatch bounds-checked access modelling MLlib's
 //                non-native Breeze path (src/la/jvmlike.h).
 //
-// Selection: ClusterConfig::kernel_backend / SAC_KERNEL_BACKEND, resolved
-// once at Engine construction (default "packed"). It is the only kernel
-// switch: MLlib-shaped runs configure kernel_backend = "jvmlike".
+// Selection: ClusterConfig::kernel_backend, resolved once at Engine
+// construction (default "packed"). It is the only kernel switch:
+// MLlib-shaped runs configure kernel_backend = "jvmlike".
 //
-// Numerics: all three backends accumulate GEMM with the same per-element
-// order (accumulator loaded from C, k ascending, no k-blocking, no FMA),
-// so results are bitwise identical across backends and microkernels; the
-// backend-parameterized suite in tests/kernels_test.cc enforces this.
+// Numerics: both backends accumulate GEMM with the same per-element order
+// as the la:: reference loops (accumulator loaded from C, k ascending, no
+// k-blocking, no FMA), so results are bitwise identical across backends
+// and microkernels; the backend-parameterized suite in
+// tests/kernels_test.cc enforces this.
 #ifndef SAC_LA_BACKEND_H_
 #define SAC_LA_BACKEND_H_
 
@@ -29,7 +31,7 @@
 
 namespace sac::la {
 
-enum class BackendKind { kGeneric, kPacked, kJvmlike };
+enum class BackendKind { kPacked, kJvmlike };
 
 /// Tile-level kernel vtable. Implementations must be stateless and
 /// thread-safe: one shared instance serves every engine and pool thread.
@@ -68,19 +70,16 @@ class KernelBackend {
 /// Shared immutable instance for a kind; never null.
 const KernelBackend* GetBackend(BackendKind kind);
 
-/// Case-sensitive lookup by registry name ("generic", "packed",
-/// "jvmlike"); nullptr for unknown names so callers can log-and-default.
+/// Case-sensitive lookup by registry name ("packed", "jvmlike"); nullptr
+/// for unknown names so callers can log-and-default.
 const KernelBackend* FindBackend(std::string_view name);
-
-/// Registry name for a kind (the value accepted by SAC_KERNEL_BACKEND).
-std::string_view BackendName(BackendKind kind);
 
 /// Flops of out += a*b: 2 * m * l * n (one mul + one add per term).
 uint64_t GemmFlops(const Tile& a, const Tile& b);
 
-/// Credits `flops` to the per-backend flop counter (flops_generic /
-/// flops_packed / flops_jvmlike) through the calling thread's current
-/// MeterSink, i.e. the stage of the task running the kernel.
+/// Credits `flops` to the per-backend flop counter (flops_packed /
+/// flops_jvmlike) through the calling thread's current MeterSink, i.e.
+/// the stage of the task running the kernel.
 void MeterFlops(BackendKind kind, uint64_t flops);
 
 }  // namespace sac::la

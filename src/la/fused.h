@@ -6,9 +6,9 @@
 // tile allocation and one memory sweep fewer per stage (the tile_allocs
 // counter the fusion gate in bench_abl_backend watches).
 //
-// The planner enables these under PlannerOptions::fuse_elementwise; the
-// jvmlike path keeps the materialized two-pass form, since MLlib's
-// non-native pipeline materializes every intermediate.
+// The planner takes these on the native (packed) backend; the jvmlike
+// path keeps the materialized two-pass form, since MLlib's non-native
+// pipeline materializes every intermediate.
 #ifndef SAC_LA_FUSED_H_
 #define SAC_LA_FUSED_H_
 

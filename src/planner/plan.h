@@ -127,14 +127,6 @@ struct PlannerOptions {
   /// Forces the Section 4 coordinate-format translation (DIABLO-style),
   /// used by the COO-vs-tiled ablation.
   bool force_coo = false;
-  /// Largest total input cell count the local fallback will collect.
-  int64_t local_fallback_max_cells = 1 << 22;
-  /// Fuse a transpose feeding an elementwise op into one blocked pass
-  /// (src/la/fused.h): same values, one fewer tile allocation per stage.
-  /// An engine on the jvmlike backend ignores this and keeps the
-  /// materialized two-pass form. bench_abl_backend's fusion gate flips
-  /// it off for the unfused arm.
-  bool fuse_elementwise = true;
   /// Cost-based planning (docs/COST_MODEL.md): when both the 5.3
   /// reduceByKey and the 5.4 group-by-join translation apply, pick the one
   /// the calibrated cost model estimates cheaper for the bound extents

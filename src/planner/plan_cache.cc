@@ -49,9 +49,7 @@ std::string PlanCacheKey(const std::string& src, const Bindings& binds,
   // Every option that can change the chosen plan or its shape.
   os << ";opt:gbj" << options.enable_group_by_join
      << ",coo" << options.force_coo
-     << ",fuse" << options.fuse_elementwise
      << ",auto" << options.auto_strategy
-     << ",lfc" << options.local_fallback_max_cells
      << ",ex" << options.cluster.num_executors
      << ",cores" << options.cluster.cores_per_executor
      << ",par" << options.cluster.default_parallelism

@@ -291,7 +291,6 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
     const InputRef in_a(shape.gens[0].source, *ba);
     const InputRef in_b(shape.gens[1].source, *bb);
     const auto ma = gmap[0], mb = gmap[1];
-    const bool fuse = opts.fuse_elementwise;
     // Both sides are keyed by output tile coordinates.
     const int64_t out_gr = storage::CeilDiv(dims.rows, block);
     const int64_t out_gc = storage::CeilDiv(dims.cols, block);
@@ -352,7 +351,7 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                   const double args[2] = {x, y};
                   return f(args);
                 };
-                if (fuse && Fusable(kbk) && (ta_swap || tb_swap)) {
+                if (Fusable(kbk) && (ta_swap || tb_swap)) {
                   // Fused pipeline: the transposed reads fold into the
                   // zip pass -- no transposed temporaries.
                   if (patterned) {
@@ -421,7 +420,6 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                          exec::CompileScalarFn(hv, val_args, consts));
     const MapPattern mpat = MatchMapPattern(hv, val_args[0], consts);
     const bool identity = mpat.kind == MapPattern::Kind::kIdentity;
-    const bool fuse = opts.fuse_elementwise;
     const InputRef in_a(shape.gens[0].source, *ba);
     CompiledQuery q;
     q.strategy = Strategy::kTilingPreserving;
@@ -455,7 +453,7 @@ Result<CompiledQuery> TryTilingPreserving(const QueryShape& shape,
                   return f(args);
                 };
                 la::Tile t;
-                if (fuse && Fusable(kbk)) {
+                if (Fusable(kbk)) {
                   // Fused pipeline: transpose read + map in one pass (a
                   // pure transpose is already a single pass).
                   if (identity) {
@@ -1056,7 +1054,7 @@ Result<CompiledQuery> CompileQuery(const ExprPtr& query,
   if (query->kind == Expr::Kind::kReduce) {
     auto agg = TryTotalAggregate(query, binds, opts);
     if (agg.ok()) return agg;
-    return LocalFallbackPlan(query, binds, opts);
+    return LocalFallbackPlan(query, binds);
   }
 
   auto shape_r = AnalyzeShape(query);
@@ -1124,7 +1122,7 @@ Result<CompiledQuery> CompileQuery(const ExprPtr& query,
     reasons.push_back(shape_r.status().message());
   }
 
-  auto fb = LocalFallbackPlan(query, binds, opts);
+  auto fb = LocalFallbackPlan(query, binds);
   if (fb.ok()) return fb;
   reasons.push_back(fb.status().message());
   std::string all = "no translation strategy applies:";

@@ -53,11 +53,13 @@ Result<CompiledQuery> TryTotalAggregate(const comp::ExprPtr& query,
                                         const Bindings& binds,
                                         const PlannerOptions& opts);
 
+/// Largest total input cell count the local fallback will collect.
+inline constexpr int64_t kLocalFallbackMaxCells = int64_t{1} << 22;
+
 /// Collect-everything fallback; refuses when inputs exceed
-/// opts.local_fallback_max_cells.
+/// kLocalFallbackMaxCells.
 Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
-                                        const Bindings& binds,
-                                        const PlannerOptions& opts);
+                                        const Bindings& binds);
 
 // ---- shared helpers --------------------------------------------------------
 

@@ -718,8 +718,7 @@ Result<CompiledQuery> TryCoo(const QueryShape& shape, const Bindings& binds,
 // ===========================================================================
 
 Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
-                                        const Bindings& binds,
-                                        const PlannerOptions& opts) {
+                                        const Bindings& binds) {
   // The query's free variables are all the plan reads: the distributed
   // ones are collected at run time, so the cell guard bounds exactly what
   // gets collected.
@@ -748,11 +747,10 @@ Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
     }
     ins.emplace_back(v, b);
   }
-  if (cells > opts.local_fallback_max_cells) {
+  if (cells > kLocalFallbackMaxCells) {
     return Status::PlanError(
         "local fallback refused: inputs have " + std::to_string(cells) +
-        " cells (limit " + std::to_string(opts.local_fallback_max_cells) +
-        ")");
+        " cells (limit " + std::to_string(kLocalFallbackMaxCells) + ")");
   }
 
   CompiledQuery q;

@@ -114,19 +114,14 @@ int MaxConcurrentFromEnv(int fallback) {
   return result < 1 ? 1 : result;
 }
 
-/// SAC_KERNEL_BACKEND ("generic" | "packed" | "jvmlike") wins over the
-/// config field; empty/unset falls through to the config, then to the
-/// "packed" default. Unknown names warn and take the default rather than
-/// failing the run.
-const la::KernelBackend* KernelBackendFromEnv(const std::string& config_name) {
-  const char* env = std::getenv("SAC_KERNEL_BACKEND");
-  const std::string name =
-      (env != nullptr && *env != '\0') ? std::string(env) : config_name;
+/// ClusterConfig::kernel_backend: "" means the "packed" default; unknown
+/// names warn and take the default rather than failing the run.
+const la::KernelBackend* ResolveKernelBackend(const std::string& name) {
   if (name.empty()) return la::GetBackend(la::BackendKind::kPacked);
   const la::KernelBackend* kb = la::FindBackend(name);
   if (kb == nullptr) {
     SAC_LOG(Warn) << "unknown kernel backend '" << name
-                  << "' (expected generic|packed|jvmlike); using packed";
+                  << "' (expected packed|jvmlike); using packed";
     return la::GetBackend(la::BackendKind::kPacked);
   }
   return kb;
@@ -222,9 +217,9 @@ Engine::Engine(ClusterConfig config)
   config_.sample_interval_us =
       SampleIntervalFromEnv(config_.sample_interval_us);
   auto_trace_path_ = TracePathFromEnv();
-  // Effective backend: env > config > default; the config reflects the
-  // effective name so planner/cost-model consumers see what actually runs.
-  kernel_backend_ = KernelBackendFromEnv(config_.kernel_backend);
+  // The config reflects the effective backend name so planner/cost-model
+  // consumers see what actually runs.
+  kernel_backend_ = ResolveKernelBackend(config_.kernel_backend);
   config_.kernel_backend = std::string(kernel_backend_->name());
 
   // Effective budget: SAC_MEM_BUDGET wins over the config field; the

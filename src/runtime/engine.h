@@ -137,13 +137,12 @@ struct ClusterConfig {
   uint64_t session_memory_budget_bytes = 0;
 
   // ---- Kernel backend (docs/KERNELS.md) -------------------------------
-  // Tile kernel implementation the planner dispatches through: "generic"
-  // (blocked restrict'd loops), "packed" (register-tiled panel-packing
-  // GEMM), or "jvmlike" (virtual-dispatch MLlib model). "" = the default
-  // ("packed"). The SAC_KERNEL_BACKEND env var overrides this at engine
-  // construction; unknown names log a warning and fall back to the
-  // default. After construction config().kernel_backend holds the
-  // effective name.
+  // Tile kernel implementation the planner dispatches through: "packed"
+  // (the native path: blocked restrict'd loops and the register-tiled
+  // panel-packing GEMM) or "jvmlike" (virtual-dispatch MLlib model).
+  // "" = the default ("packed"); unknown names log a warning and fall
+  // back to the default. After construction config().kernel_backend
+  // holds the effective name.
   std::string kernel_backend = "";
 
   // ---- Distributed runtime (docs/DISTRIBUTED.md) ----------------------
@@ -276,8 +275,8 @@ class Engine {
   trace::Tracer& tracer() { return tracer_; }
   ThreadPool& pool() { return pool_; }
 
-  /// Kernel backend resolved at construction from SAC_KERNEL_BACKEND /
-  /// config.kernel_backend (never null; see docs/KERNELS.md).
+  /// Kernel backend resolved at construction from config.kernel_backend
+  /// (never null; see docs/KERNELS.md).
   const la::KernelBackend* kernel_backend() const { return kernel_backend_; }
 
   /// The memory manager + block store enforcing

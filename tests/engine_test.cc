@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/la/backend.h"
+
 namespace sac::runtime {
 namespace {
 
@@ -264,6 +266,31 @@ TEST_F(EngineTest, DeterministicReduceOrderAcrossRuns) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_TRUE(a[i].Equals(b[i])) << a[i].ToString() << " vs "
                                    << b[i].ToString();
+  }
+}
+
+TEST(EngineBackendTest, ConfigNameIsTheOnlySelector) {
+  // "" and "packed" resolve to the native backend, "jvmlike" to the MLlib
+  // model; any other name ("generic" included) warns and takes packed.
+  // config() reports the effective name either way.
+  const struct {
+    const char* configured;
+    const char* effective;
+    la::BackendKind kind;
+  } cases[] = {
+      {"", "packed", la::BackendKind::kPacked},
+      {"packed", "packed", la::BackendKind::kPacked},
+      {"jvmlike", "jvmlike", la::BackendKind::kJvmlike},
+      {"generic", "packed", la::BackendKind::kPacked},
+      {"blas", "packed", la::BackendKind::kPacked},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.configured);
+    ClusterConfig cfg{1, 1, 1};
+    cfg.kernel_backend = c.configured;
+    Engine eng(cfg);
+    EXPECT_EQ(eng.config().kernel_backend, c.effective);
+    EXPECT_EQ(eng.kernel_backend()->kind(), c.kind);
   }
 }
 

@@ -98,11 +98,13 @@ TEST(MapPatternTest, IdentityScaleGeneric) {
 
 TEST(FusionQueryTest, TransposedScaleIdenticalFusedAndUnfused) {
   // tiled(m,n)[ ((j,i), c*a) | ... ]: a transpose feeding a scale. The
-  // fused plan computes it in one pass (FusedScale); the unfused plan
-  // materializes the transposed temporary, then scales it.
-  auto run = [](bool fuse, la::Tile* out, uint64_t* allocs) {
-    Sac ctx(runtime::ClusterConfig{2, 2, 4});
-    ctx.options().fuse_elementwise = fuse;
+  // native (packed) engine computes it in one fused pass (FusedScale);
+  // the jvmlike engine, like MLlib, materializes the transposed
+  // temporary, then scales it.
+  auto run = [](const char* backend, la::Tile* out, uint64_t* allocs) {
+    runtime::ClusterConfig cfg{2, 2, 4};
+    cfg.kernel_backend = backend;
+    Sac ctx(cfg);
     ctx.Bind("A", ctx.RandomMatrix(96, 64, 32, 7).value());
     ctx.BindScalar("n", int64_t{96});
     ctx.BindScalar("m", int64_t{64});
@@ -116,8 +118,8 @@ TEST(FusionQueryTest, TransposedScaleIdenticalFusedAndUnfused) {
   };
   la::Tile fused, unfused;
   uint64_t fused_allocs = 0, unfused_allocs = 0;
-  run(true, &fused, &fused_allocs);
-  run(false, &unfused, &unfused_allocs);
+  run("packed", &fused, &fused_allocs);
+  run("jvmlike", &unfused, &unfused_allocs);
   ASSERT_EQ(fused.rows(), unfused.rows());
   ASSERT_EQ(fused.cols(), unfused.cols());
   EXPECT_TRUE(fused == unfused);  // bit-identical, not just close

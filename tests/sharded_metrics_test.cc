@@ -138,7 +138,7 @@ void ExpectStagesRollUp(Sac* ctx) {
 }
 
 uint64_t Flops(const MetricsSnapshot& s) {
-  return s.flops_generic + s.flops_packed + s.flops_jvmlike;
+  return s.flops_packed + s.flops_jvmlike;
 }
 
 TEST(ShardedMetricsTest, StagesRollUpToTotalsOnGroupByJoinMultiply) {

@@ -265,10 +265,9 @@ bool CollectObservations(const std::string& path,
       ob.features[0] = stage.GetNum("cross_executor_bytes") / 1e6;
       ob.features[1] = stage.GetNum("local_shuffle_bytes") / 1e6;
       ob.features[2] = stage.GetNum("tasks_run") / 1e3;
-      ob.features[3] = (stage.GetNum("flops_generic") +
-                        stage.GetNum("flops_packed") +
-                        stage.GetNum("flops_jvmlike")) /
-                       1e6;
+      ob.features[3] =
+          (stage.GetNum("flops_packed") + stage.GetNum("flops_jvmlike")) /
+          1e6;
       ob.time_ms = wall_ms;
       ob.label = figure + "/" + series + " n=" +
                  std::to_string(row.GetInt("n")) + " " +
@@ -343,8 +342,8 @@ int RunCalibrate(const std::vector<std::string>& files) {
             << shipped.ns_per_local_byte << ")\n"
             << "  us_per_task       = " << coef[2] << "   (shipped "
             << shipped.us_per_task << ")\n"
-            << "  ns_per_flop_packed = " << coef[3] << "   (shipped "
-            << shipped.ns_per_flop_packed
+            << "  ns_per_flop       = " << coef[3] << "   (shipped "
+            << shipped.ns_per_flop
             << "; the benches run the default packed backend)\n";
   double abs_err = 0;
   double abs_y = 0;
