@@ -2,7 +2,7 @@
 // plans run under the native packed backend and the jvmlike MLlib model,
 // whose elementwise pipelines are fused and materialized respectively.
 //
-// Like bench_abl_strategy this binary is a GATE, not just a report:
+// This binary is a GATE, not just a report:
 //   1. single-tile GEMM: the packed microkernel must beat the la::GemmAccum
 //      reference loop by >= 1.3x at n=64 (the planner's default block)
 //      and at n=512 (the backend's reason to exist), and the two products

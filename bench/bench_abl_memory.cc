@@ -75,12 +75,7 @@ int main(int argc, char** argv) {
   auto run = [&](const std::string& series, uint64_t budget) -> RunResult {
     runtime::ClusterConfig cfg = BenchCluster();
     cfg.memory_budget_bytes = budget;
-    // Pin the GBJ plan: this ablation stresses the block store with a
-    // large working set, and the cost model's auto strategy would swap
-    // the plan (and the budget shape) out from under the baseline.
-    planner::PlannerOptions opts;
-    opts.auto_strategy = false;
-    Sac ctx(cfg, opts);
+    Sac ctx(cfg);
     auto a = ctx.RandomMatrix(n, n, block, 201, 0.0, 10.0).value();
     auto b = ctx.RandomMatrix(n, n, block, 202, 0.0, 10.0).value();
     RunResult out;

@@ -44,11 +44,7 @@ int main(int argc, char** argv) {
   auto measure = [&](int64_t n, bool sampled) {
     runtime::ClusterConfig cfg = BenchCluster();
     cfg.sample_interval_us = sampled ? interval_us : 0;
-    // Pin the GBJ plan (the series name promises it); the sampler
-    // overhead ratio must not be confounded by a strategy switch.
-    planner::PlannerOptions opts;
-    opts.auto_strategy = false;
-    Sac ctx(cfg, opts);
+    Sac ctx(cfg);
     auto a = ctx.RandomMatrix(n, n, block, 401, 0.0, 10.0).value();
     auto b = ctx.RandomMatrix(n, n, block, 402, 0.0, 10.0).value();
     Row row = TimeQuery(&ctx, "abl", sampled ? "sampler" : "off", n, n * n,

@@ -93,11 +93,9 @@ int main(int argc, char** argv) {
   };
   auto open_arm = [&](const std::string& series,
                       runtime::ClusterConfig cfg) {
-    planner::PlannerOptions opts;
-    opts.auto_strategy = false;  // pin the plan: this ablates the wire
     Arm arm;
     arm.series = series;
-    arm.ctx = std::make_unique<Sac>(cfg, opts);
+    arm.ctx = std::make_unique<Sac>(cfg);
     arm.a = arm.ctx->RandomMatrix(n, n, block, 301, 0.0, 10.0).value();
     arm.b = arm.ctx->RandomMatrix(n, n, block, 302, 0.0, 10.0).value();
     return arm;
@@ -244,9 +242,7 @@ int main(int argc, char** argv) {
   const RunResult baseline = run(&reporter, "single", BenchCluster());
   ::setenv("SAC_WORKERS", workers.c_str(), 1);
 
-  planner::PlannerOptions popts;
-  popts.auto_strategy = false;
-  Sac ctx(BenchCluster(), popts);  // env routes it to the external cluster
+  Sac ctx(BenchCluster());  // env routes it to the external cluster
   runtime::Engine& eng = ctx.engine();
   if (!eng.distributed()) {
     std::fprintf(stderr, "chaos: engine did not come up distributed\n");

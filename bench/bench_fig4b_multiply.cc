@@ -35,15 +35,10 @@ int main(int argc, char** argv) {
       "SAC GBJ (5.4)");
   BenchReporter reporter("fig4b", argc, argv);
 
-  // Both SAC series pin their strategy: the whole point of the figure is
-  // comparing forced 5.3 against forced 5.4, so the cost model must not
-  // silently switch either plan (and the committed baselines stay
-  // comparable across runs).
-  planner::PlannerOptions with_gbj;
-  with_gbj.auto_strategy = false;
+  // "SAC" disables the 5.4 group-by-join rule to get the 5.3 join +
+  // reduceByKey plan; "SAC GBJ" runs the defaults, which take 5.4.
   planner::PlannerOptions no_gbj;
   no_gbj.enable_group_by_join = false;
-  no_gbj.auto_strategy = false;
 
   for (int64_t n : sizes) {
     // MLlib baseline.
@@ -74,7 +69,7 @@ int main(int argc, char** argv) {
     }
     // SAC with the group-by-join (SUMMA).
     {
-      Sac ctx(BenchCluster(), with_gbj);
+      Sac ctx(BenchCluster());
       auto a = ctx.RandomMatrix(n, n, block, 201, 0.0, 10.0).value();
       auto b = ctx.RandomMatrix(n, n, block, 202, 0.0, 10.0).value();
       const Row row = TimeQuery(&ctx, "fig4b", "SAC GBJ", n, n * n, [&] {

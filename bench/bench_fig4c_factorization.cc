@@ -54,11 +54,7 @@ int main(int argc, char** argv) {
       reporter.CaptureTrace(&ctx);
     }
     {
-      // Pin the 5.4 strategy: this series is "SAC GBJ" by name, so the
-      // cost model must not switch it to 5.3 at small sizes.
-      planner::PlannerOptions gbj;
-      gbj.auto_strategy = false;
-      Sac ctx(BenchCluster(), gbj);
+      Sac ctx(BenchCluster());
       auto r = ctx.RandomSparseMatrix(n, n, block, 301, 0.1, 5).value();
       auto p = ctx.RandomMatrix(n, k, block, 302, 0.0, 1.0).value();
       auto q = ctx.RandomMatrix(n, k, block, 303, 0.0, 1.0).value();

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Runs the figure-reproduction benches and the memory, sampler,
-# strategy, backend, service and transport ablations, writing
-# machine-readable reports at the repo root:
+# backend, service and transport ablations, writing machine-readable
+# reports at the repo root:
 #   BENCH_fig4a.json  BENCH_fig4b.json  BENCH_fig4c.json
-#   BENCH_abl_memory.json
-#   BENCH_abl_sampler.json  BENCH_abl_strategy.json
+#   BENCH_abl_memory.json  BENCH_abl_sampler.json
 #   BENCH_abl_backend.json  BENCH_abl_service.json
 #   BENCH_abl_transport.json
 # Each fig4 bench also emits a profiler artifact
@@ -26,8 +25,7 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs" --target \
   bench_fig4a_addition bench_fig4b_multiply bench_fig4c_factorization \
-  bench_abl_memory bench_abl_sampler \
-  bench_abl_strategy bench_abl_backend bench_abl_service \
+  bench_abl_memory bench_abl_sampler bench_abl_backend bench_abl_service \
   bench_abl_transport sac_prof
 
 export SAC_BENCH_SCALE="$scale" SAC_BENCH_REPS="$reps"
@@ -49,9 +47,6 @@ echo "==> ablation: unlimited vs 25% memory budget (out-of-core)"
 
 echo "==> ablation: time-series sampler overhead"
 ./build/bench/bench_abl_sampler --out BENCH_abl_sampler.json
-
-echo "==> ablation: cost-driven multiply strategy (self-gating)"
-./build/bench/bench_abl_strategy --out BENCH_abl_strategy.json
 
 echo "==> ablation: kernel backends + fusion (self-gating)"
 ./build/bench/bench_abl_backend --out BENCH_abl_backend.json
@@ -78,4 +73,4 @@ echo "==> partition-balance gate: skew <= 1.5 on every fig4 shuffle stage"
 echo "==> regression gate: reports vs baselines"
 scripts/bench_diff.sh
 
-echo "==> reports written: BENCH_fig4a.json BENCH_fig4b.json BENCH_fig4c.json BENCH_abl_memory.json BENCH_abl_sampler.json BENCH_abl_strategy.json BENCH_abl_backend.json BENCH_abl_service.json BENCH_abl_transport.json (+ fig4 *.profile.json)"
+echo "==> reports written: BENCH_fig4a.json BENCH_fig4b.json BENCH_fig4c.json BENCH_abl_memory.json BENCH_abl_sampler.json BENCH_abl_backend.json BENCH_abl_service.json BENCH_abl_transport.json (+ fig4 *.profile.json)"

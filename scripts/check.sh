@@ -21,11 +21,6 @@
 #      regressions
 #   8. sampler: bench_abl_sampler --smoke (time-series sampler at the
 #      1 ms interval must cost <= 3% vs sampler-off and actually sample)
-#   8b. strategy: bench_abl_strategy at tiny scale (the multiply plan
-#      the cost model picks must be within 5% of the best forced plan),
-#      then sac_prof predcheck holds the compile-time shuffle-byte
-#      predictions within 2x of the measured counters on fig4a/b/c
-#      (docs/COST_MODEL.md)
 #   8c. backends: bench_abl_backend at tiny scale (packed GEMM >= 1.3x
 #      the la::GemmAccum reference loop at n=64, the planner's default
 #      block, and at n=512; packed and jvmlike byte-identical on
@@ -44,7 +39,10 @@
 #      must still be byte-identical with workers_lost >= 1 and
 #      partitions_reexecuted > 0 (docs/DISTRIBUTED.md); workers are
 #      torn down via trap even when the gate fails
-#   8f. partition balance: sac_prof skewcheck holds partition_skew
+#   8f. cost model: sac_prof predcheck holds the compile-time
+#      shuffle-byte predictions within 2x of the measured counters on
+#      fig4a/b/c (docs/COST_MODEL.md)
+#   8g. partition balance: sac_prof skewcheck holds partition_skew
 #      (max / mean records per destination partition) to <= 1.5 on
 #      every shuffle stage of fresh fig4a/b/c reports (fig4b at small
 #      scale: tiny's 3x3 grid cannot spread 9 keys over 8 partitions)
@@ -112,7 +110,7 @@ sarif = json.load(open("build/lint.sarif"))
 assert sarif["version"] == "2.1.0", "sarif version"
 assert sarif["runs"][0]["results"], "sarif has no results"
 analysis = json.load(open("build/lint.analysis.json"))
-assert analysis["analysis_version"] == 1, "analysis_version"
+assert analysis["analysis_version"] == 2, "analysis_version"
 assert len(analysis["files"]) >= 5, "expected >=5 analyzed files"
 EOF
   else
@@ -152,11 +150,6 @@ EOF
   SAC_BENCH_SCALE=tiny SAC_BENCH_REPS=2 \
     ./build/bench/bench_abl_sampler --smoke \
     --out build/BENCH_abl_sampler.smoke.json
-
-  echo "==> strategy: auto vs forced multiply plans (cost-model gate)"
-  SAC_BENCH_SCALE=tiny SAC_BENCH_REPS=3 \
-    ./build/bench/bench_abl_strategy \
-    --out build/BENCH_abl_strategy.smoke.json
 
   echo "==> backends: packed GEMM speedup + byte-identity + fusion gate"
   SAC_BENCH_SCALE=tiny SAC_BENCH_REPS=2 \

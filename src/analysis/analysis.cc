@@ -66,7 +66,7 @@ std::string RenderAnalysisJson(const AnalysisReport& report,
                                const std::string& file) {
   std::ostringstream os;
   os.precision(15);
-  os << "{\"analysis_version\":1";
+  os << "{\"analysis_version\":2";
   os << ",\"file\":\"" << trace::JsonEscape(file) << "\"";
   os << ",\"strategy\":\"" << trace::JsonEscape(report.strategy) << "\"";
   os << ",\"explanation\":\"" << trace::JsonEscape(report.explanation)
@@ -88,7 +88,6 @@ std::string RenderAnalysisJson(const AnalysisReport& report,
   os << "]";
   if (report.has_cost) {
     os << ",\"cost\":{\"exact\":" << (report.cost_exact ? "true" : "false");
-    os << ",\"est_ms\":" << report.est_ms;
     os << ",\"resident_bytes\":" << report.resident_bytes;
     os << ",\"shuffle_bytes\":" << report.shuffle_bytes;
     os << ",\"cross_executor_bytes\":" << report.cross_bytes;
@@ -195,7 +194,6 @@ Result<AnalysisReport> AnalyzeQuery(const std::string& src,
     const CostEstimate est = EstimateCost(graph);
     report.has_cost = true;
     report.cost_exact = est.exact;
-    report.est_ms = est.est_ms;
     report.resident_bytes = est.resident_bytes;
     report.shuffle_bytes = est.totals.shuffle_bytes;
     report.cross_bytes = est.totals.cross_bytes;

@@ -45,7 +45,6 @@ struct AnalysisReport {
   };
   bool has_cost = false;
   bool cost_exact = false;  // every node's extents resolved from bindings
-  double est_ms = 0;
   double resident_bytes = 0;
   double shuffle_bytes = 0;
   double cross_bytes = 0;

@@ -1,11 +1,8 @@
 #include "src/analysis/cost.h"
 
 #include <algorithm>
-#include <cmath>
 #include <iomanip>
 #include <sstream>
-
-#include "src/planner/planner.h"
 
 namespace sac::analysis {
 
@@ -47,85 +44,7 @@ std::string NodeName(const PlanNode& n) {
   return s;
 }
 
-/// Tiled matrix bound to `name` (IsTiledSource holds).
-const storage::TiledMatrix& TiledOf(const PlanGraph& g,
-                                    const std::string& name) {
-  return g.binds->at(name).tiled;
-}
-
-/// Builds the 5.3 join + reduceByKey symbolic plan over two tiled sources,
-/// placed and sized like the planner's cost-based plan (join by shared-
-/// dimension block, reduce by output tile).
-PlanGraph SynthesizeReduceByKeyPlan(const std::string& src_a,
-                                    const std::string& src_b,
-                                    const PlanGraph& g) {
-  const storage::TiledMatrix& a = TiledOf(g, src_a);
-  const storage::TiledMatrix& b = TiledOf(g, src_b);
-  planner::PlanBuilder pb;
-  PlanNodePtr sa = pb.Source(src_a, 2);
-  PlanNodePtr ka = pb.Narrow(PlanNode::Op::kMap, "keyByJoinDim", sa, 1);
-  PlanNodePtr sb = pb.Source(src_b, 2);
-  PlanNodePtr kb = pb.Narrow(PlanNode::Op::kMap, "keyByJoinDim", sb, 1);
-  PlanNodePtr joined = pb.Shuffle(
-      PlanNode::Op::kJoin, "joinTiles", {ka, kb}, 1,
-      planner::GridShufflePartitions(a.grid_cols(), g.default_parallelism),
-      runtime::Partitioner::Grid({a.grid_cols()}));
-  PlanNodePtr partials =
-      pb.Narrow(PlanNode::Op::kMap, "partialProducts", joined, 2);
-  PlanNodePtr reduced = pb.Shuffle(
-      PlanNode::Op::kReduceByKey, "reduceTiles", {partials}, 2,
-      planner::GridShufflePartitions(a.grid_rows() * b.grid_cols(),
-                                     g.default_parallelism),
-      runtime::Partitioner::Grid({a.grid_rows(), b.grid_cols()}));
-  PlanNodePtr root = pb.Narrow(PlanNode::Op::kMap, "finalize", reduced, 2,
-                               /*preserves_partitioning=*/true);
-  PlanGraph out = g;
-  out.root = root;
-  out.nodes = pb.TakeNodes();
-  return out;
-}
-
-/// Builds the 5.4 replicate + cogroup (SUMMA) symbolic plan.
-PlanGraph SynthesizeGroupByJoinPlan(const std::string& src_a,
-                                    const std::string& src_b,
-                                    const PlanGraph& g) {
-  const storage::TiledMatrix& a = TiledOf(g, src_a);
-  const storage::TiledMatrix& b = TiledOf(g, src_b);
-  planner::PlanBuilder pb;
-  PlanNodePtr sa = pb.Source(src_a, 2);
-  PlanNodePtr sb = pb.Source(src_b, 2);
-  PlanNodePtr ra = pb.Narrow(PlanNode::Op::kFlatMap, "replicateA", sa, 2);
-  PlanNodePtr rb = pb.Narrow(PlanNode::Op::kFlatMap, "replicateB", sb, 2);
-  PlanNodePtr cg = pb.Shuffle(
-      PlanNode::Op::kCoGroup, "cogroupPanels", {ra, rb}, 2,
-      planner::GridShufflePartitions(a.grid_rows() * b.grid_cols(),
-                                     g.default_parallelism),
-      runtime::Partitioner::Grid({a.grid_rows(), b.grid_cols()}));
-  PlanNodePtr root = pb.Narrow(PlanNode::Op::kFlatMap, "summaMultiply", cg, 2,
-                               /*preserves_partitioning=*/true);
-  PlanGraph out = g;
-  out.root = root;
-  out.nodes = pb.TakeNodes();
-  return out;
-}
-
-/// True when `name` is bound to a tiled matrix with resolvable extents.
-bool IsTiledSource(const PlanGraph& g, const std::string& name) {
-  if (g.binds == nullptr) return false;
-  const auto it = g.binds->find(name);
-  return it != g.binds->end() &&
-         it->second.kind == planner::Binding::Kind::kTiled &&
-         it->second.tiled.rows > 0 && it->second.tiled.cols > 0 &&
-         it->second.tiled.block > 0;
-}
-
 }  // namespace
-
-CostModel CostModelForBackend(const std::string& backend_name) {
-  CostModel m;
-  if (backend_name == "jvmlike") m.ns_per_flop = m.ns_per_flop_jvmlike;
-  return m;
-}
 
 const char* EngineShuffleLabel(const planner::PlanNode::Op op) {
   switch (op) {
@@ -144,7 +63,7 @@ const char* EngineShuffleLabel(const planner::PlanNode::Op op) {
   }
 }
 
-CostEstimate EstimateCost(const PlanGraph& g, const CostModel& model) {
+CostEstimate EstimateCost(const PlanGraph& g) {
   const ShapeMap shapes = InferShapes(g);
   const int executors = g.num_executors > 0 ? g.num_executors : 4;
   CostEstimate est;
@@ -192,63 +111,7 @@ CostEstimate EstimateCost(const PlanGraph& g, const CostModel& model) {
     est.resident_bytes += c.output_bytes;
     est.items.push_back(std::move(item));
   }
-  est.est_ms = (est.totals.cross_bytes * model.ns_per_cross_byte +
-                est.totals.local_bytes * model.ns_per_local_byte +
-                est.totals.flops * model.ns_per_flop) /
-                   1e6 +
-               est.totals.tasks * model.us_per_task / 1e3;
   return est;
-}
-
-MultiplyAdvice AdviseMultiply(const PlanGraph& g, const CostModel& model) {
-  MultiplyAdvice adv;
-  // Recognize which multiply translation the plan executes and find the
-  // two tiled operands underneath it.
-  const PlanNode* wide = nullptr;
-  bool chosen_is_gbj = false;
-  for (const PlanNodePtr& node : g.nodes) {
-    if (node->op == PlanNode::Op::kCoGroup &&
-        node->label == "cogroupPanels" && node->inputs.size() == 2) {
-      wide = node.get();
-      chosen_is_gbj = true;
-      break;
-    }
-    if (node->op == PlanNode::Op::kJoin && node->label == "joinTiles" &&
-        node->inputs.size() == 2) {
-      wide = node.get();
-      chosen_is_gbj = false;
-      break;
-    }
-  }
-  if (wide == nullptr) return adv;
-  const PlanNode* src_a = SourceBelow(wide->inputs[0].get());
-  const PlanNode* src_b = SourceBelow(wide->inputs[1].get());
-  if (src_a == nullptr || src_b == nullptr) return adv;
-  // Both operands must be tiled matrices with known extents (the GBJ
-  // translation does not apply to matrix-vector products).
-  if (!IsTiledSource(g, src_a->source) || !IsTiledSource(g, src_b->source)) {
-    return adv;
-  }
-  const PlanGraph rbk =
-      SynthesizeReduceByKeyPlan(src_a->source, src_b->source, g);
-  const PlanGraph gbj =
-      SynthesizeGroupByJoinPlan(src_a->source, src_b->source, g);
-  const CostEstimate rbk_est = EstimateCost(rbk, model);
-  const CostEstimate gbj_est = EstimateCost(gbj, model);
-  if (!rbk_est.exact || !gbj_est.exact) return adv;
-  adv.applicable = true;
-  adv.chosen_is_gbj = chosen_is_gbj;
-  adv.chosen_ms = chosen_is_gbj ? gbj_est.est_ms : rbk_est.est_ms;
-  adv.alternative_ms = chosen_is_gbj ? rbk_est.est_ms : gbj_est.est_ms;
-  if (adv.alternative_ms < adv.chosen_ms) {
-    const double chosen_shuffle = chosen_is_gbj
-                                      ? gbj_est.totals.shuffle_bytes
-                                      : rbk_est.totals.shuffle_bytes;
-    const double alt_shuffle = chosen_is_gbj ? rbk_est.totals.shuffle_bytes
-                                             : gbj_est.totals.shuffle_bytes;
-    adv.bytes_saved = std::max(0.0, chosen_shuffle - alt_shuffle);
-  }
-  return adv;
 }
 
 std::string RenderCostTable(const CostEstimate& est) {
@@ -278,8 +141,7 @@ std::string RenderCostTable(const CostEstimate& est) {
   os << "  totals: shuffle " << HumanMiB(est.totals.shuffle_bytes)
      << " MiB (cross " << HumanMiB(est.totals.cross_bytes) << "), resident "
      << HumanMiB(est.resident_bytes) << " MiB, "
-     << static_cast<int64_t>(est.totals.tasks) << " tasks, est "
-     << std::fixed << std::setprecision(3) << est.est_ms << " ms\n";
+     << static_cast<int64_t>(est.totals.tasks) << " tasks\n";
   return os.str();
 }
 

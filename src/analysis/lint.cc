@@ -382,46 +382,6 @@ class ResidentSetOverBudgetRule : public LintRule {
 SAC_REGISTER_LINT_RULE(ResidentSetOverBudgetRule);
 
 // ---------------------------------------------------------------------------
-// SAC-W07: multiply strategy suboptimal for the bound extents
-// ---------------------------------------------------------------------------
-
-class MultiplyStrategyRule : public LintRule {
- public:
-  const char* code() const override { return "SAC-W07"; }
-  const char* summary() const override {
-    return "matrix-multiply translation suboptimal for the bound extents; "
-           "the cost model estimates the other 5.3/5.4 plan cheaper";
-  }
-  void Run(const PlanGraph& g, std::vector<Diagnostic>* out) const override {
-    if (g.binds == nullptr) return;
-    const MultiplyAdvice adv = AdviseMultiply(g);
-    if (!adv.applicable) return;
-    // Materiality: the alternative must be at least 10% cheaper and save
-    // a material amount of shuffle traffic.
-    if (adv.alternative_ms >= adv.chosen_ms * 0.9) return;
-    if (adv.bytes_saved < kMaterialityBytes) return;
-    const char* chosen = adv.chosen_is_gbj
-                             ? "5.4 group-by-join (SUMMA)"
-                             : "5.3 join + reduceByKey";
-    const char* other = adv.chosen_is_gbj ? "5.3 join + reduceByKey"
-                                          : "5.4 group-by-join (SUMMA)";
-    std::ostringstream msg;
-    msg.precision(3);
-    msg << std::fixed << "multiply uses the " << chosen
-        << " plan, but for these extents the cost model estimates the "
-        << other << " translation at " << adv.alternative_ms << " ms vs "
-        << adv.chosen_ms << " ms, saving ~" << HumanMiB(adv.bytes_saved)
-        << " of shuffle; enable PlannerOptions::auto_strategy (or unset "
-           "SAC_AUTO_STRATEGY=off) to let the planner choose";
-    Diagnostic d = Warning(code(), msg.str(),
-                           g.root != nullptr ? SpanOf(*g.root) : comp::Span{});
-    d.estimated_bytes = adv.bytes_saved;
-    out->push_back(std::move(d));
-  }
-};
-SAC_REGISTER_LINT_RULE(MultiplyStrategyRule);
-
-// ---------------------------------------------------------------------------
 // SAC-W08: shuffle partition count badly sized for extents / cores
 // ---------------------------------------------------------------------------
 
@@ -462,8 +422,7 @@ class PartitionSizingRule : public LintRule {
                 std::to_string(static_cast<int64_t>(s.records)) +
                 " output records; ~" + std::to_string(empty) +
                 " partitions stay empty and their task dispatch is wasted "
-                "-- size num_partitions near the record count (or enable "
-                "auto_strategy)",
+                "-- size num_partitions near the record count",
             SpanOf(*n)));
       } else if (np < cores && keys >= 2.0 * cores) {
         out->push_back(Warning(

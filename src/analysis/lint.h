@@ -14,12 +14,13 @@
 //   SAC-W05  chained in-loop shuffles with nothing cutting the lineage
 //   SAC-W06  estimated resident set exceeds the configured memory budget
 //            with no cache/checkpoint cut; expect eviction thrash
-//   SAC-W07  multiply strategy suboptimal for the bound extents (the
-//            cost model prefers the other 5.3/5.4 translation)
 //   SAC-W08  shuffle partition count badly sized for the estimated
 //            record count / cluster cores
 //
-// W02/W05/W06/W07/W08 are quantified: when the symbolic shape pass
+// W07 is retired (it compared estimated milliseconds); do not reuse the
+// code for another rule.
+//
+// W02/W05/W06/W08 are quantified: when the symbolic shape pass
 // (shape.h) can size the plan from the bindings they report estimated
 // bytes and stay silent below a materiality threshold; without bindings
 // they fall back to the pattern-match behaviour. See docs/COST_MODEL.md.

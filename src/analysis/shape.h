@@ -2,8 +2,8 @@
 // planner's PlanNode DAG that propagates dataset extents -- record
 // counts, serialized bytes per record, tile-grid dimensions -- from the
 // bound inputs through every operator, entirely statically (no engine
-// operator runs). The result feeds the calibrated cost model (cost.h),
-// the quantified lint rules (SAC-W02/W05..W08) and the predicted-vs-
+// operator runs). The result feeds the shape and byte model (cost.h),
+// the quantified lint rules (SAC-W02/W05/W06/W08) and the predicted-vs-
 // measured shuffle-byte gate. See docs/COST_MODEL.md for the abstract
 // domain and the per-operator transfer functions.
 #ifndef SAC_ANALYSIS_SHAPE_H_
@@ -49,8 +49,8 @@ struct SymbolicShape {
 using ShapeMap = std::unordered_map<const planner::PlanNode*, SymbolicShape>;
 
 /// Serialized per-record framing overhead next to the payload (key
-/// values, type tags, length prefixes) -- calibrated against the exact
-/// byte counters of the committed BENCH reports (45..59 B depending on
+/// values, type tags, length prefixes) -- fitted to the exact byte
+/// counters of the committed BENCH reports (45..59 B depending on
 /// the key structure).
 inline constexpr double kRecordOverheadBytes = 48.0;
 

@@ -18,9 +18,9 @@ using runtime::ValueVec;
 Sac::Sac(runtime::ClusterConfig config, planner::PlannerOptions options)
     : engine_(std::make_unique<runtime::Engine>(config)),
       options_(options) {
-  // The cost model plans against the engine's actual cluster shape --
-  // engine_->config(), not the caller's `config`, so env-resolved fields
-  // (memory budget, kernel backend) reach the planner too.
+  // The planner and the shape and byte model size plans for the engine's
+  // actual cluster shape -- engine_->config(), not the caller's `config`,
+  // so env-resolved fields (the memory budget) reach them too.
   options_.cluster = engine_->config();
 }
 

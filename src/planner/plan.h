@@ -127,17 +127,15 @@ struct PlannerOptions {
   /// Forces the Section 4 coordinate-format translation (DIABLO-style),
   /// used by the COO-vs-tiled ablation.
   bool force_coo = false;
-  /// Cost-based planning (docs/COST_MODEL.md): when both the 5.3
-  /// reduceByKey and the 5.4 group-by-join translation apply, pick the one
-  /// the calibrated cost model estimates cheaper for the bound extents
-  /// (fig4b shows the right choice flips with n), and size reduce-side
-  /// partition counts from the distinct-key estimate instead of the
-  /// engine default. `SAC_AUTO_STRATEGY=off` overrides to disabled; the
-  /// forced bench series pin this off so their plans stay comparable.
+  /// Has no effect: the planner takes the 5.4 group-by-join whenever it
+  /// applies and sizes every grid shuffle from its tile count. Kept only
+  /// because the sacbench workloads still assign it; delete it with the
+  /// next change to the benchmark.
   bool auto_strategy = true;
-  /// Cluster shape the cost model evaluates against (executor count
-  /// drives the local/cross shuffle split, parallelism the task counts).
-  /// Sac's constructor copies its engine config here.
+  /// Cluster shape the planner sizes shuffles for and the shape and byte
+  /// model evaluates against (executor count drives the local/cross
+  /// shuffle split, parallelism the task counts). Sac's constructor
+  /// copies its engine config here.
   runtime::ClusterConfig cluster;
 };
 
@@ -147,7 +145,7 @@ struct PlannerOptions {
 //
 // Each translation strategy emits, next to its executable closure, a small
 // symbolic DAG describing the engine operators the closure will run. The
-// static analyzer (src/analysis/) lints and verifies this DAG before any
+// static analyzer (analysis::LintPlan) lints and verifies this DAG before any
 // tile is materialized: partitioning metadata feeds the shuffle rules
 // (SAC-W03), consumer counts feed the dead-dataset and cache rules
 // (SAC-W02/W04), and VerifyPlan() checks the structural invariants.

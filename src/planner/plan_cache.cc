@@ -49,7 +49,6 @@ std::string PlanCacheKey(const std::string& src, const Bindings& binds,
   // Every option that can change the chosen plan or its shape.
   os << ";opt:gbj" << options.enable_group_by_join
      << ",coo" << options.force_coo
-     << ",auto" << options.auto_strategy
      << ",ex" << options.cluster.num_executors
      << ",cores" << options.cluster.cores_per_executor
      << ",par" << options.cluster.default_parallelism

@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
-#include <sstream>
 
-#include "src/analysis/cost.h"
 #include "src/common/logging.h"
 #include "src/comp/eval.h"
 #include "src/exec/scalar_fn.h"
@@ -39,20 +35,7 @@ Status NotApplicable(const std::string& rule, const std::string& why) {
   return Status::PlanError(rule + " does not apply: " + why);
 }
 
-std::string FmtMs(const double ms) {
-  std::ostringstream os;
-  os.precision(3);
-  os << std::fixed << ms;
-  return os.str();
-}
-
 }  // namespace
-
-bool AutoStrategyEnabled(const PlannerOptions& opts) {
-  const char* env = std::getenv("SAC_AUTO_STRATEGY");
-  if (env != nullptr && std::strcmp(env, "off") == 0) return false;
-  return opts.auto_strategy;
-}
 
 int GridShufflePartitions(int64_t cells, int parallelism) {
   return static_cast<int>(
@@ -1069,40 +1052,7 @@ Result<CompiledQuery> CompileQuery(const ExprPtr& query,
     } else {
       if (opts.enable_group_by_join) {
         auto gbj = TryGroupByJoin(shape, binds, opts);
-        if (gbj.ok()) {
-          // Cost-based strategy choice (docs/COST_MODEL.md): when the 5.3
-          // translation also applies and the bound extents resolve, take
-          // whichever plan the calibrated model estimates cheaper --
-          // fig4b shows the right 5.3/5.4 choice flips with n.
-          if (AutoStrategyEnabled(opts)) {
-            auto rbk = TryReduceByKey(shape, binds, opts);
-            if (rbk.ok()) {
-              // Flop rate follows the backend the plan will run on: the
-              // engine-resolved ClusterConfig::kernel_backend.
-              const analysis::CostModel cm = analysis::CostModelForBackend(
-                  opts.cluster.kernel_backend);
-              const analysis::CostEstimate gc = analysis::EstimateCost(
-                  analysis::PlanGraph::FromQuery(gbj.value(), &binds, 0,
-                                                 opts.cluster),
-                  cm);
-              const analysis::CostEstimate rc = analysis::EstimateCost(
-                  analysis::PlanGraph::FromQuery(rbk.value(), &binds, 0,
-                                                 opts.cluster),
-                  cm);
-              if (gc.exact && rc.exact) {
-                const std::string note =
-                    " [auto: cost model 5.4=" + FmtMs(gc.est_ms) +
-                    "ms vs 5.3=" + FmtMs(rc.est_ms) + "ms]";
-                if (rc.est_ms < gc.est_ms) {
-                  rbk.value().explanation += note;
-                  return rbk;
-                }
-                gbj.value().explanation += note;
-              }
-            }
-          }
-          return gbj;
-        }
+        if (gbj.ok()) return gbj;
         reasons.push_back(gbj.status().message());
       }
       auto rbk = TryReduceByKey(shape, binds, opts);

@@ -63,10 +63,6 @@ Result<CompiledQuery> LocalFallbackPlan(const comp::ExprPtr& query,
 
 // ---- shared helpers --------------------------------------------------------
 
-/// Whether cost-based planning is active: PlannerOptions::auto_strategy
-/// unless the SAC_AUTO_STRATEGY=off escape hatch overrides it.
-bool AutoStrategyEnabled(const PlannerOptions& opts);
-
 /// Partition count for a shuffle keyed by a grid of `cells` cells: the
 /// engine parallelism (`parallelism`, <= 0 means the default 8), but no
 /// more partitions than cells, since grid placement leaves any extra

@@ -728,14 +728,10 @@ Result<CompiledQuery> TryReduceByKey(const QueryShape& shape,
                 : Partitioner::Grid(
                       {storage::CeilDiv(orows, N), storage::CeilDiv(ocols, N)});
 
-    int reduce_np = -1;
-    if (AutoStrategyEnabled(opts)) {
-      const int64_t out_tiles =
-          storage::CeilDiv(orows, N) *
-          (vec_out ? 1 : storage::CeilDiv(ocols, N));
-      reduce_np =
-          GridShufflePartitions(out_tiles, opts.cluster.default_parallelism);
-    }
+    const int64_t out_tiles = storage::CeilDiv(orows, N) *
+                              (vec_out ? 1 : storage::CeilDiv(ocols, N));
+    const int reduce_np =
+        GridShufflePartitions(out_tiles, opts.cluster.default_parallelism);
 
     CompiledQuery q;
     q.strategy = Strategy::kReduceByKey;

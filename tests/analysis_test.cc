@@ -444,51 +444,6 @@ TEST(PlanLint, W06SilentWithoutBudgetOrWithACacheCut) {
   EXPECT_TRUE(ds.empty()) << RenderAll(ds, "plan");
 }
 
-TEST(PlanLint, W07FiresWhenPinnedStrategyIsSuboptimal) {
-  // At 1024^2 the cost model estimates the 5.3 join + reduceByKey plan
-  // well under the 5.4 SUMMA plan (the cogroup replicates ~2g^3 panels
-  // vs the join's 2g^2 tiles). With auto_strategy pinned off the planner
-  // keeps 5.4 and the lint quantifies what that leaves on the table.
-  Bindings binds;
-  binds.emplace("A", Matrix(1024, 1024));
-  binds.emplace("B", Matrix(1024, 1024));
-  binds.emplace("n", Binding::Scalar(runtime::Value::Int(1024)));
-  binds.emplace("m", Binding::Scalar(runtime::Value::Int(1024)));
-  planner::PlannerOptions opts;
-  opts.auto_strategy = false;
-  auto report = AnalyzeQuery(
-      "tiled(n,m)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, "
-      "kk == k, let v = a*b, group by (i,j) ]",
-      binds, opts);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  const AnalysisReport& r = report.value();
-  EXPECT_EQ(r.strategy, "GroupByJoin(5.4)");
-  ASSERT_EQ(Codes(r.diagnostics), std::vector<std::string>{"SAC-W07"})
-      << Rendered(r);
-  EXPECT_GT(r.diagnostics[0].estimated_bytes, 1 << 20);
-  EXPECT_NE(r.diagnostics[0].message.find("5.3 join + reduceByKey"),
-            std::string::npos)
-      << r.diagnostics[0].message;
-}
-
-TEST(PlanLint, W07SilentWhenAutoStrategyPicksTheCheaperPlan) {
-  // Same query and extents with cost-based planning on: the planner takes
-  // the 5.3 plan the model prefers, so there is nothing to warn about.
-  Bindings binds;
-  binds.emplace("A", Matrix(1024, 1024));
-  binds.emplace("B", Matrix(1024, 1024));
-  binds.emplace("n", Binding::Scalar(runtime::Value::Int(1024)));
-  binds.emplace("m", Binding::Scalar(runtime::Value::Int(1024)));
-  AnalysisReport r = Analyze(
-      "tiled(n,m)[ ((i,j), +/v) | ((i,k),a) <- A, ((kk,j),b) <- B, "
-      "kk == k, let v = a*b, group by (i,j) ]",
-      binds);
-  EXPECT_EQ(r.strategy, "ReduceByKey(5.3)");
-  EXPECT_NE(r.explanation.find("auto: cost model"), std::string::npos)
-      << r.explanation;
-  EXPECT_TRUE(r.diagnostics.empty()) << Rendered(r);
-}
-
 TEST(PlanLint, W08FiresOnMostlyEmptyPartitions) {
   // 4 output tiles reduced into 64 partitions: ~60 stay empty.
   Bindings binds;
@@ -530,16 +485,18 @@ TEST(PlanLint, W08SilentWhenPartitionCountIsReasonable) {
   EXPECT_TRUE(ds.empty()) << RenderAll(ds, "plan");
 }
 
-TEST(PlanLint, RegistryHasAllEightRules) {
+TEST(PlanLint, RegistryHasAllSevenRules) {
   std::vector<std::string> codes;
   for (const LintRule* r : LintRules()) codes.push_back(r->code());
-  EXPECT_EQ(codes.size(), 8u);
-  for (const char* want :
-       {"SAC-W01", "SAC-W02", "SAC-W03", "SAC-W04", "SAC-W05", "SAC-W06",
-        "SAC-W07", "SAC-W08"}) {
+  EXPECT_EQ(codes.size(), 7u);
+  for (const char* want : {"SAC-W01", "SAC-W02", "SAC-W03", "SAC-W04",
+                           "SAC-W05", "SAC-W06", "SAC-W08"}) {
     EXPECT_NE(std::find(codes.begin(), codes.end(), want), codes.end())
         << want << " not registered";
   }
+  // W07 (the retired multiply-strategy advice) is not reused.
+  EXPECT_EQ(std::find(codes.begin(), codes.end(), std::string("SAC-W07")),
+            codes.end());
 }
 
 TEST(PlanLint, RealCompiledPlansAreLintClean) {

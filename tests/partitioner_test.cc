@@ -198,9 +198,7 @@ TEST(EngineGridShuffleTest, SummaMultiplyHoldsEightTilesPerPartition) {
   ClusterConfig cfg;
   cfg.num_executors = 4;
   cfg.default_parallelism = 8;
-  planner::PlannerOptions opts;
-  opts.auto_strategy = false;  // pin the 5.4 group-by-join (SUMMA) plan
-  Sac ctx(cfg, opts);
+  Sac ctx(cfg);  // the defaults take the 5.4 group-by-join (SUMMA) plan
   auto a = ctx.RandomMatrix(1024, 1024, 128, 1).value();
   auto b = ctx.RandomMatrix(1024, 1024, 128, 2).value();
   auto c = algo::Multiply(&ctx, a, b);
@@ -225,7 +223,6 @@ TEST(EngineGridShuffleTest, ProductsAgreeAcrossPartitionCounts) {
     cfg.default_parallelism = parts;
     for (bool gbj : {true, false}) {
       planner::PlannerOptions opts;
-      opts.auto_strategy = false;
       opts.enable_group_by_join = gbj;
       Sac ctx(cfg, opts);
       auto a = ctx.RandomMatrix(256, 256, 32, 11).value();
@@ -261,9 +258,7 @@ TEST(EngineGridShuffleTest, SummaProductsByteIdenticalAcrossPartitionCounts) {
   for (int parts : {3, 8, 13}) {
     ClusterConfig cfg;
     cfg.default_parallelism = parts;
-    planner::PlannerOptions opts;
-    opts.auto_strategy = false;  // pin the 5.4 group-by-join (SUMMA) plan
-    Sac ctx(cfg, opts);
+    Sac ctx(cfg);  // the defaults take the 5.4 group-by-join (SUMMA) plan
     auto a = ctx.RandomMatrix(kN, kN, kBlock, 21).value();
     auto b = ctx.RandomMatrix(kN, kN, kBlock, 22).value();
     auto c = algo::Multiply(&ctx, a, b);

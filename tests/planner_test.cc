@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/api/sac.h"
+#include "src/planner/planner.h"
 
 namespace sac {
 namespace {
@@ -208,6 +209,51 @@ TEST_F(PlannerTest, MatrixMultiplyUsesGroupByJoin) {
       "tiled(n,m)[ ((i,j),+/v) | ((i,k),a) <- A, ((kk,j),b) <- B,"
       " kk == k, let v = a*b, group by (i,j) ]",
       Strategy::kGroupByJoin);
+}
+
+TEST(PlannerDefaults, TwoMatrixMultiplyTakesGroupByJoinAtEveryExtent) {
+  // The 5.4 rule fires whenever it applies, on fine 64-tile grids too.
+  // Planning reads only the bound shapes, so the operands carry no data.
+  for (const int64_t n : {int64_t{512}, int64_t{1024}}) {
+    Sac ctx;
+    ctx.Bind("A", storage::TiledMatrix{n, n, 64, nullptr});
+    ctx.Bind("B", storage::TiledMatrix{n, n, 64, nullptr});
+    ctx.BindScalar("n", n);
+    ctx.BindScalar("m", n);
+    auto q = ctx.Compile(
+        "tiled(n,m)[ ((i,j),+/v) | ((i,k),a) <- A, ((kk,j),b) <- B,"
+        " kk == k, let v = a*b, group by (i,j) ]");
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    EXPECT_EQ(q.value().strategy, Strategy::kGroupByJoin)
+        << "n=" << n << ": " << q.value().explanation;
+  }
+}
+
+TEST(PlannerDefaults, PerTileRowSumsSizeTheirReduceByOutputTiles) {
+  // 256 rows in 64-tiles: 4 output tiles, fewer than the parallelism of
+  // 8, so the reduce takes 4 partitions rather than the engine default,
+  // whatever auto_strategy says.
+  for (const bool auto_strategy : {true, false}) {
+    planner::PlannerOptions opts;
+    opts.auto_strategy = auto_strategy;
+    Sac ctx(runtime::ClusterConfig(), opts);
+    ctx.Bind("M", storage::TiledMatrix{256, 192, 64, nullptr});
+    ctx.BindScalar("n", int64_t{256});
+    auto q = ctx.Compile("tiled(n)[ (i, +/m) | ((i,j),m) <- M, group by i ]");
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    ASSERT_EQ(q.value().strategy, Strategy::kReduceByKey);
+    const int want = planner::GridShufflePartitions(
+        4, ctx.options().cluster.default_parallelism);
+    ASSERT_EQ(want, 4);
+    int reduces = 0;
+    for (const planner::PlanNodePtr& node : q.value().plan_nodes) {
+      if (node->label != "reduceTiles") continue;
+      ++reduces;
+      EXPECT_EQ(node->partitioning.num_partitions, want)
+          << "auto_strategy=" << auto_strategy;
+    }
+    EXPECT_EQ(reduces, 1) << "auto_strategy=" << auto_strategy;
+  }
 }
 
 TEST_F(PlannerTest, GroupByJoinHandlesNonSquareGrids) {

@@ -142,9 +142,7 @@ uint64_t Flops(const MetricsSnapshot& s) {
 }
 
 TEST(ShardedMetricsTest, StagesRollUpToTotalsOnGroupByJoinMultiply) {
-  planner::PlannerOptions opts;
-  opts.auto_strategy = false;  // pin the 5.4 group-by-join (SUMMA) plan
-  Sac ctx(RollUpCluster(), opts);
+  Sac ctx(RollUpCluster());  // the defaults take the 5.4 group-by-join plan
   const int64_t n = 128, block = 32;
   auto a = ctx.RandomMatrix(n, n, block, 1).value();
   auto b = ctx.RandomMatrix(n, n, block, 2).value();

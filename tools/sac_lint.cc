@@ -24,13 +24,10 @@
 //   --explain        also print the chosen strategy and symbolic plan
 //   --cost           also print the cost-model table (docs/COST_MODEL.md)
 //   --format=sarif   emit one SARIF 2.1.0 log on stdout instead of text
-//   --json=PATH      also write {"analysis_version":1,"files":[...]} with
+//   --json=PATH      also write {"analysis_version":2,"files":[...]} with
 //                    one machine-readable analysis object per input file
-//   --calibrate      treat FILE args as BENCH_*.json reports and fit the
-//                    cost-model constants to their measured counters
 //   --list-rules     print the lint-rule catalog and exit
 
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -39,9 +36,7 @@
 #include <vector>
 
 #include "src/analysis/analysis.h"
-#include "src/analysis/cost.h"
 #include "src/analysis/lint.h"
-#include "src/common/json.h"
 #include "src/common/trace.h"
 #include "src/planner/plan.h"
 #include "src/runtime/value.h"
@@ -215,150 +210,6 @@ std::string RenderSarif(const std::vector<FileDiagnostic>& findings) {
   return os.str();
 }
 
-// ---------------------------------------------------------------------------
-// --calibrate: fit the cost-model constants to committed BENCH reports
-// ---------------------------------------------------------------------------
-
-/// One bench stage turned into a regression observation of
-///   wall_ms = cross/1e6 * a + local/1e6 * b + tasks/1e3 * c + flops/1e6 * d.
-struct Observation {
-  double features[4] = {0, 0, 0, 0};
-  double time_ms = 0;
-  std::string label;
-};
-
-/// Extracts the observations the model is calibrated on: every stage of
-/// the SAC series of fig4a (elementwise addition) and the SAC / SAC GBJ
-/// series of fig4b (dense multiply). MLlib rows model a different kernel
-/// baseline and fig4c mixes whole-iteration loops; both excluded. One
-/// observation per stage keeps shuffle stages (bytes) and compute stages
-/// (flops) apart, which whole-row totals -- where bytes and flops both
-/// grow with n^3 -- cannot.
-bool CollectObservations(const std::string& path,
-                         std::vector<Observation>* out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << path << ": cannot open\n";
-    return false;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  sac::json::Value root;
-  sac::Status st = sac::json::Parse(buf.str(), &root);
-  if (!st.ok()) {
-    std::cerr << path << ": " << st.ToString() << "\n";
-    return false;
-  }
-  for (const sac::json::Value& row : root.At("rows").array) {
-    const std::string figure = row.GetStr("figure");
-    const std::string series = row.GetStr("series");
-    if (!(figure == "fig4a" && series == "SAC") &&
-        !(figure == "fig4b" && (series == "SAC" || series == "SAC GBJ"))) {
-      continue;
-    }
-    for (const sac::json::Value& stage : row.At("stages").array) {
-      const double wall_ms = stage.GetNum("wall_ms");
-      if (wall_ms <= 0) continue;
-      Observation ob;
-      // shuffle_bytes counts the cross-executor bytes only; executor-
-      // local bytes are metered separately.
-      ob.features[0] = stage.GetNum("cross_executor_bytes") / 1e6;
-      ob.features[1] = stage.GetNum("local_shuffle_bytes") / 1e6;
-      ob.features[2] = stage.GetNum("tasks_run") / 1e3;
-      ob.features[3] =
-          (stage.GetNum("flops_packed") + stage.GetNum("flops_jvmlike")) /
-          1e6;
-      ob.time_ms = wall_ms;
-      ob.label = figure + "/" + series + " n=" +
-                 std::to_string(row.GetInt("n")) + " " +
-                 stage.GetStr("label");
-      out->push_back(ob);
-    }
-  }
-  return true;
-}
-
-/// Non-negative least squares on the 4x4 normal equations via projected
-/// coordinate descent: each pass minimizes over one coefficient with the
-/// others held fixed, clamped at zero. Plain OLS turns the near-collinear
-/// byte columns (cross is a fixed fraction of total within one figure)
-/// into negative ns/byte rates; the non-negativity constraint is what
-/// keeps the fitted constants physically meaningful. Returns false when a
-/// feature column is entirely absent from the observations.
-bool FitConstants(const std::vector<Observation>& obs, double coef[4]) {
-  double ata[4][4] = {};
-  double atb[4] = {};
-  for (const Observation& ob : obs) {
-    for (int i = 0; i < 4; ++i) {
-      for (int j = 0; j < 4; ++j) {
-        ata[i][j] += ob.features[i] * ob.features[j];
-      }
-      atb[i] += ob.features[i] * ob.time_ms;
-    }
-  }
-  for (int i = 0; i < 4; ++i) {
-    if (ata[i][i] < 1e-12) return false;
-    coef[i] = 0;
-  }
-  for (int pass = 0; pass < 500; ++pass) {
-    double delta = 0;
-    for (int i = 0; i < 4; ++i) {
-      double num = atb[i];
-      for (int j = 0; j < 4; ++j) {
-        if (j != i) num -= ata[i][j] * coef[j];
-      }
-      const double next = std::max(0.0, num / ata[i][i]);
-      delta = std::max(delta, std::fabs(next - coef[i]));
-      coef[i] = next;
-    }
-    if (delta < 1e-9) break;
-  }
-  return true;
-}
-
-int RunCalibrate(const std::vector<std::string>& files) {
-  std::vector<Observation> obs;
-  for (const std::string& f : files) {
-    if (!CollectObservations(f, &obs)) return 2;
-  }
-  if (obs.size() < 4) {
-    std::cerr << "calibrate: only " << obs.size()
-              << " usable stages (need >= 4); pass BENCH_fig4a/BENCH_fig4b "
-                 "reports\n";
-    return 2;
-  }
-  double coef[4];
-  if (!FitConstants(obs, coef)) {
-    std::cerr << "calibrate: singular system; rows are not independent\n";
-    return 2;
-  }
-  const sac::analysis::CostModel shipped;
-  std::cout << "calibration over " << obs.size() << " stages:\n";
-  std::cout.precision(3);
-  std::cout << std::fixed;
-  std::cout << "  ns_per_cross_byte = " << coef[0] << "   (shipped "
-            << shipped.ns_per_cross_byte << ")\n"
-            << "  ns_per_local_byte = " << coef[1] << "   (shipped "
-            << shipped.ns_per_local_byte << ")\n"
-            << "  us_per_task       = " << coef[2] << "   (shipped "
-            << shipped.us_per_task << ")\n"
-            << "  ns_per_flop       = " << coef[3] << "   (shipped "
-            << shipped.ns_per_flop
-            << "; the benches run the default packed backend)\n";
-  double abs_err = 0;
-  double abs_y = 0;
-  for (const Observation& ob : obs) {
-    double pred = 0;
-    for (int i = 0; i < 4; ++i) pred += coef[i] * ob.features[i];
-    abs_err += std::fabs(pred - ob.time_ms);
-    abs_y += std::fabs(ob.time_ms);
-  }
-  std::cout << "  fit: mean |err| = " << abs_err / obs.size() << " ms ("
-            << (abs_y > 0 ? 100.0 * abs_err / abs_y : 0)
-            << "% of measured)\n";
-  return 0;
-}
-
 void PrintRuleCatalog() {
   std::cout << "comprehension checks (errors):\n"
             << "  SAC-E000  syntax error\n"
@@ -382,7 +233,6 @@ int main(int argc, char** argv) {
   bool explain = false;
   bool cost = false;
   bool sarif = false;
-  bool calibrate = false;
   std::string json_path;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
@@ -392,8 +242,6 @@ int main(int argc, char** argv) {
       explain = true;
     } else if (std::strcmp(argv[i], "--cost") == 0) {
       cost = true;
-    } else if (std::strcmp(argv[i], "--calibrate") == 0) {
-      calibrate = true;
     } else if (std::strcmp(argv[i], "--format=sarif") == 0) {
       sarif = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
@@ -410,11 +258,9 @@ int main(int argc, char** argv) {
   }
   if (files.empty()) {
     std::cerr << "usage: sac_lint [--Werror] [--explain] [--cost] "
-                 "[--format=sarif] [--json=PATH] [--calibrate] "
-                 "[--list-rules] FILE...\n";
+                 "[--format=sarif] [--json=PATH] [--list-rules] FILE...\n";
     return 2;
   }
-  if (calibrate) return RunCalibrate(files);
 
   bool any_error = false;
   bool any_warning = false;
@@ -463,7 +309,7 @@ int main(int argc, char** argv) {
       std::cerr << json_path << ": cannot write\n";
       return 2;
     }
-    out << "{\"analysis_version\":1,\"files\":[" << json_files << "]}\n";
+    out << "{\"analysis_version\":2,\"files\":[" << json_files << "]}\n";
   }
   if (any_error || (werror && any_warning)) return 1;
   return 0;
